@@ -31,7 +31,6 @@ from .report import RULES, render_text, to_json_payload, to_sarif, write_sarif
 from .runner import (
     compute_findings,
     compute_function_findings,
-    findings_under,
     lint_program,
     lint_target,
     pair_with_target,
@@ -49,7 +48,6 @@ __all__ = [
     "compute_findings",
     "compute_function_findings",
     "finding_fingerprint",
-    "findings_under",
     "lint_program",
     "lint_target",
     "pair_with_target",

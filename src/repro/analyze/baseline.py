@@ -46,7 +46,10 @@ def finding_fingerprint(target: str, diag: Diagnostic) -> str:
 
     Includes the target so the same defect in two workloads baselines
     independently; excludes severity, hints, and path evidence so cosmetic
-    re-wordings of provenance do not churn baselines.
+    re-wordings of provenance do not churn baselines.  The recipe is
+    versioned by :data:`FINGERPRINT_KEY`, so it stays hashed under the
+    artifact-cache schema it was introduced with (1): a cache schema bump
+    leaves committed baselines valid.
     """
     return content_key(
         "lint-finding",
@@ -56,6 +59,7 @@ def finding_fingerprint(target: str, diag: Diagnostic) -> str:
         diag.block,
         diag.instr,
         diag.message,
+        schema=1,
     )
 
 

@@ -90,60 +90,35 @@ def compute_function_findings(
     return rank(out.records)
 
 
-def findings_under(
-    module,
-    qualified: Mapping[str, object],
-    min_mass: float = DEFAULT_MIN_MASS,
-    dataflow_engine: str = "auto",
-    workload: str = "program",
-) -> tuple[Diagnostic, ...]:
-    """:func:`compute_findings` under an explicit data-flow engine.
-
-    The qualified analyses are fixed inputs; only the analyzer's own
-    solves (liveness, available expressions, copies, definite assignment)
-    re-run under ``dataflow_engine`` — the matrix suite compares engines
-    pairwise to prove the lint layer engine-independent."""
-    from ..dataflow import engine_scope
-
-    with engine_scope(dataflow_engine):
-        return compute_findings(module, qualified, min_mass, workload)
-
-
 def lint_program(
     module,
     args,
     inputs,
     ca: float,
     cr: float,
-    engine: str = "compiled",
     workload: str = "program",
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
     min_mass: float = DEFAULT_MIN_MASS,
 ) -> tuple[Diagnostic, ...]:
     """Analyze an ad-hoc program: one profiled run, the qualified pipeline
     per routine, then the full lint battery (the ``repro lint <file>``
     path, mirroring :func:`repro.checks.runner.check_program`)."""
     from ..core.qualified import run_qualified
-    from ..dataflow import engine_scope, wz_engine_scope
     from ..interp.interpreter import Interpreter
     from ..profiles.path_profile import PathProfile
 
-    with engine_scope(dataflow_engine), wz_engine_scope(wz_engine):
-        result = Interpreter(
-            module, profile_mode="bl", track_sites=False, engine=engine
-        ).run(args, inputs)
-        qualified = {
-            name: run_qualified(
-                fn,
-                result.profiles.get(name, PathProfile()),
-                ca,
-                cr,
-                wz_engine=wz_engine,
-            )
-            for name, fn in module.functions.items()
-        }
-        return compute_findings(module, qualified, min_mass, workload)
+    result = Interpreter(
+        module, profile_mode="bl", track_sites=False, engine="compiled"
+    ).run(args, inputs)
+    qualified = {
+        name: run_qualified(
+            fn,
+            result.profiles.get(name, PathProfile()),
+            ca,
+            cr,
+        )
+        for name, fn in module.functions.items()
+    }
+    return compute_findings(module, qualified, min_mass, workload)
 
 
 def lint_target(
@@ -152,22 +127,13 @@ def lint_target(
     ca: Optional[float] = None,
     cr: Optional[float] = None,
     min_mass: float = DEFAULT_MIN_MASS,
-    engine: str = "compiled",
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
 ) -> tuple[Diagnostic, ...]:
     """Analyze one registered/generated target by name (cacheable)."""
     from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR
     from ..pipeline.cached_run import make_run
     from ..workloads.matrix import resolve_target
 
-    run = make_run(
-        resolve_target(name),
-        cache_dir=cache_dir,
-        engine=engine,
-        dataflow_engine=dataflow_engine,
-        wz_engine=wz_engine,
-    )
+    run = make_run(resolve_target(name), cache_dir=cache_dir)
     return run.lint(
         ca if ca is not None else DEFAULT_CA,
         cr if cr is not None else DEFAULT_CR,
@@ -181,9 +147,6 @@ def _lint_target_job(
     ca: Optional[float],
     cr: Optional[float],
     min_mass: float,
-    engine: str,
-    dataflow_engine: str,
-    wz_engine: str,
 ) -> tuple[str, list[dict]]:
     """Process-pool job: findings for one target, shipped as dicts."""
     findings = lint_target(
@@ -192,9 +155,6 @@ def _lint_target_job(
         ca=ca,
         cr=cr,
         min_mass=min_mass,
-        engine=engine,
-        dataflow_engine=dataflow_engine,
-        wz_engine=wz_engine,
     )
     return name, [d.to_dict() for d in findings]
 
@@ -208,7 +168,6 @@ def pair_with_target(
 
 __all__ = [
     "compute_findings",
-    "findings_under",
     "lint_program",
     "lint_target",
     "pair_with_target",

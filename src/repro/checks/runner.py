@@ -251,42 +251,32 @@ def check_program(
     inputs,
     ca: float,
     cr: float,
-    engine: str = "compiled",
     workload: str = "program",
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
 ) -> Diagnostics:
-    """Check an ad-hoc program: compile-stage checks, one profiled run, and
-    the qualified pipeline per routine (the ``repro check <file>`` path).
-
-    ``wz_engine`` selects the conditional-constant engine for the qualified
-    pipelines *and* the lint passes — the DF/LINT invariants hold under
-    either engine, so running the checks under ``compiled`` differentially
-    validates the dense WZ lowering end to end."""
+    """Check an ad-hoc module: compile-stage checks, one profiled run, and
+    the qualified pipeline per routine (``repro check running_example``
+    and ``repro check --self-check``)."""
     from ..core.qualified import run_qualified
-    from ..dataflow import engine_scope, wz_engine_scope
     from ..interp.interpreter import Interpreter
 
     out = Diagnostics()
-    with engine_scope(dataflow_engine), wz_engine_scope(wz_engine):
-        check_module(module, workload=workload, out=out)
-        result = Interpreter(
-            module, profile_mode="bl", track_sites=False, engine=engine
-        ).run(args, inputs)
-        check_run_result(
-            module, result, workload=workload, stage="profile", out=out
+    check_module(module, workload=workload, out=out)
+    result = Interpreter(
+        module, profile_mode="bl", track_sites=False, engine="compiled"
+    ).run(args, inputs)
+    check_run_result(
+        module, result, workload=workload, stage="profile", out=out
+    )
+    qualified = {
+        name: run_qualified(
+            fn,
+            result.profiles.get(name, _empty_profile()),
+            ca,
+            cr,
         )
-        qualified = {
-            name: run_qualified(
-                fn,
-                result.profiles.get(name, _empty_profile()),
-                ca,
-                cr,
-                wz_engine=wz_engine,
-            )
-            for name, fn in module.functions.items()
-        }
-        check_qualified(qualified, workload=workload, out=out)
+        for name, fn in module.functions.items()
+    }
+    check_qualified(qualified, workload=workload, out=out)
     return out
 
 

@@ -76,6 +76,38 @@ def _load_module(path: str):
     return module
 
 
+def _resolve_workload(target: str, args: argparse.Namespace):
+    """A named target (registered, preset or ``gen:`` spec), else a MiniC
+    file run on the verb's ``--args``/``--input`` where it has them."""
+    from .evaluation import Workload
+    from .workloads.matrix import resolve_target
+
+    try:
+        return resolve_target(target)
+    except KeyError:
+        pass
+    except ValueError as exc:  # a malformed gen: spec
+        raise SystemExit(f"{args.command}: {exc}")
+    try:
+        with open(target) as f:
+            source = f.read()
+    except OSError as exc:
+        raise SystemExit(
+            f"{args.command}: {target!r} is neither a target (see 'repro "
+            f"suite --list') nor a readable file: {exc.strerror}"
+        )
+    prog_args = tuple(getattr(args, "args", ()))
+    inputs = _parse_inputs(getattr(args, "input", ()))
+    return Workload(
+        name=target,
+        source=source,
+        train_args=prog_args,
+        train_inputs=inputs,
+        ref_args=prog_args,
+        ref_inputs=inputs,
+    )
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     module = _load_module(args.file)
     text = str(module) + "\n"
@@ -90,7 +122,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     with _trace_capture(args):
         module = _load_module(args.file)
-        interp = Interpreter(module, profile_mode="bl", engine=args.engine)
+        interp = Interpreter(module, profile_mode="bl", engine="compiled")
         result = interp.run(args.args, _parse_inputs(args.input))
     for values in result.output:
         print(" ".join(str(v) for v in values))
@@ -103,11 +135,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"# profile saved to {args.save_profile}", file=sys.stderr)
     if args.check:
         from .checks.runner import check_module, check_run_result
-        from .dataflow import engine_scope, wz_engine_scope
 
-        with engine_scope(args.dataflow_engine), wz_engine_scope(args.wz_engine):
-            diags = check_module(module, workload=args.file)
-            check_run_result(module, result, workload=args.file, out=diags)
+        diags = check_module(module, workload=args.file)
+        check_run_result(module, result, workload=args.file, out=diags)
         print(f"# checks: {diags.summary()}", file=sys.stderr)
         for d in diags:
             print(f"#   {d.format()}", file=sys.stderr)
@@ -171,25 +201,15 @@ def cmd_dot(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .evaluation import WorkloadRun, format_table
     from .obs import render_span_tree
-    from .workloads import WORKLOAD_NAMES, get_workload
 
-    if args.workload not in WORKLOAD_NAMES:
-        raise SystemExit(
-            f"unknown workload {args.workload!r}; choose from {WORKLOAD_NAMES}"
-        )
+    workload = _resolve_workload(args.workload, args)
     checker = None
     if args.check:
         from .checks.runner import PipelineChecker
 
         checker = PipelineChecker()
     with _trace_capture(args):
-        run = WorkloadRun(
-            get_workload(args.workload),
-            engine=args.engine,
-            checker=checker,
-            dataflow_engine=args.dataflow_engine,
-            wz_engine=args.wz_engine,
-        )
+        run = WorkloadRun(workload, checker=checker)
         agg = run.aggregate_classification(args.ca, args.cr)
         orig, hpg, red = run.graph_sizes(args.ca, args.cr)
         row = run.table2(args.ca, args.cr)
@@ -204,9 +224,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         ["base cost", row.base_cost],
         ["optimized cost", row.optimized_cost],
         ["speedup", f"{row.speedup:.3f}x"],
-        ["engine", run.engine],
-        ["dataflow engine", run.dataflow_engine],
-        ["wz engine", run.wz_engine],
     ]
     print(
         format_table(
@@ -252,8 +269,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cr=args.cr,
         check=args.check,
-        dataflow_engine=args.dataflow_engine,
-        wz_engine=args.wz_engine,
         incremental=args.incremental,
     )
     with _trace_capture(args):
@@ -314,14 +329,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         instances = resolve_instances(instance_names)
     except KeyError as exc:
         raise SystemExit(str(exc))
-    if args.wz_engine is not None:
-        # The override is part of each cell's configuration (and hence its
-        # archive key), so run and report phases must agree on it.
-        from dataclasses import replace
-
-        instances = tuple(
-            replace(i, wz_engine=args.wz_engine) for i in instances
-        )
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
 
@@ -340,12 +347,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
                 raise SystemExit(str(exc))
         else:
             driver = ParallelDriver(jobs=args.jobs, cache_dir=args.cache_dir)
-            result = driver.suite(
-                targets,
-                instance_names,
-                archive_dir=args.archive,
-                wz_engine=args.wz_engine,
-            )
+            result = driver.suite(targets, instance_names, archive_dir=args.archive)
     report = result.report()
     if args.out:
         import os
@@ -385,17 +387,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         stream_trace_jsonl,
     )
     from .pipeline.cached_run import make_run
-    from .workloads import WORKLOAD_NAMES, get_workload
 
     name = args.workload
     if name is None:
         if not args.self_check:
             raise SystemExit("trace: give a workload name (or --self-check)")
         name = "compress95"
-    if name not in WORKLOAD_NAMES:
-        raise SystemExit(
-            f"unknown workload {name!r}; choose from {WORKLOAD_NAMES}"
-        )
+    workload = _resolve_workload(name, args)
     with ExitStack() as stack:
         tracer, registry = stack.enter_context(capture())
         if args.mem_spans:
@@ -404,13 +402,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             stack.enter_context(
                 stream_trace_jsonl(args.trace_out, tracer, registry)
             )
-        run = make_run(
-            get_workload(name),
-            args.cache_dir,
-            engine=args.engine,
-            dataflow_engine=args.dataflow_engine,
-            wz_engine=args.wz_engine,
-        )
+        run = make_run(workload, args.cache_dir)
         run.aggregate_classification(args.ca, args.cr)
     print(render_trace_report(tracer, registry, top=args.top))
     if args.trace_out:
@@ -441,19 +433,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_self_check(wz_engine: str = "auto") -> int:
+def _check_self_check() -> int:
     """Smoke-test the checker layer itself: a clean run must report zero
     errors with the expected spans, and a deliberately corrupted profile
     must be caught (CI's guarantee that the checkers can actually fail).
 
-    ``wz_engine`` runs the clean pipeline under the chosen
-    conditional-constant engine, so CI can smoke the dense lowering too."""
+    The clean pipeline runs under the engine scopes of the ``base`` and
+    the ``wz-compiled`` matrix instances, so the dense WZ lowering is
+    smoked end to end too."""
     from .checks.profile_checks import PROF_FLOW_IMBALANCE, check_profile
     from .checks.runner import check_program
     from .ir.cfg import Cfg
     from .obs import capture
     from .profiles.path_profile import PathProfile
     from .profiles.recording import recording_edges
+    from .workloads.matrix import INSTANCES
     from .workloads.running_example import (
         running_example_module,
         training_run_inputs,
@@ -461,25 +455,30 @@ def _check_self_check(wz_engine: str = "auto") -> int:
 
     module = running_example_module()
     n, inputs = training_run_inputs()
-    with capture() as (tracer, registry):
-        diags = check_program(
-            module, [n], inputs, ca=1.0, cr=0.95,
-            workload="running_example", wz_engine=wz_engine,
-        )
-    problems = []
-    if diags.has_errors:
-        problems.append(f"clean run reported errors: {diags.summary()}")
-    span_names = {span.name for span in tracer.spans()}
     required = {"check.ir", "check.lint", "check.profile", "check.automaton",
                 "check.hpg", "check.dataflow"}
-    if not required <= span_names:
-        problems.append(f"missing check spans: {sorted(required - span_names)}")
-    runs = sum(
-        c for (name, _), c in registry.snapshot()["counters"].items()
-        if name == "check_pass_runs"
-    )
-    if runs <= 0:
-        problems.append("no check_pass_runs counter increments")
+    problems = []
+    for instance in ("base", "wz-compiled"):
+        with INSTANCES[instance].scopes(), capture() as (tracer, registry):
+            diags = check_program(
+                module, [n], inputs, ca=1.0, cr=0.95, workload="running_example"
+            )
+        if diags.has_errors:
+            problems.append(
+                f"{instance}: clean run reported errors: {diags.summary()}"
+            )
+        span_names = {span.name for span in tracer.spans()}
+        if not required <= span_names:
+            problems.append(
+                f"{instance}: missing check spans: "
+                f"{sorted(required - span_names)}"
+            )
+        runs = sum(
+            c for (name, _), c in registry.snapshot()["counters"].items()
+            if name == "check_pass_runs"
+        )
+        if runs <= 0:
+            problems.append(f"{instance}: no check_pass_runs counter increments")
 
     # Negative control: break flow conservation and require detection.
     fn = module.function("work")
@@ -524,63 +523,36 @@ def _aggregate_span_timings(spans) -> dict[str, float]:
 def cmd_check(args: argparse.Namespace) -> int:
     import json
 
-    from .workloads import WORKLOAD_NAMES
-
     if args.self_check:
-        return _check_self_check(args.wz_engine)
+        return _check_self_check()
     if not args.target:
-        raise SystemExit("check: give a workload name, a .mc file, or --self-check")
+        raise SystemExit("check: give a target name, a .mc file, or --self-check")
+    workload = None
+    if args.target != "running_example":
+        workload = _resolve_workload(args.target, args)
 
     def _run_checks():
-        if args.target in WORKLOAD_NAMES:
+        if workload is not None:
             from .pipeline.cached_run import make_run
-            from .workloads import get_workload
 
-            run = make_run(
-                get_workload(args.target),
-                args.cache_dir,
-                engine=args.engine,
-                check=True,
-                dataflow_engine=args.dataflow_engine,
-                wz_engine=args.wz_engine,
-            )
+            run = make_run(workload, args.cache_dir, check=True)
             run.qualified(args.ca, args.cr)
             return run.checker.diagnostics
-        elif args.target == "running_example":
-            from .checks.runner import check_program
-            from .workloads.running_example import (
-                running_example_module,
-                training_run_inputs,
-            )
+        from .checks.runner import check_program
+        from .workloads.running_example import (
+            running_example_module,
+            training_run_inputs,
+        )
 
-            n, inputs = training_run_inputs()
-            return check_program(
-                running_example_module(),
-                [n],
-                inputs,
-                ca=args.ca,
-                cr=args.cr,
-                engine=args.engine,
-                workload="running_example",
-                dataflow_engine=args.dataflow_engine,
-                wz_engine=args.wz_engine,
-            )
-        else:
-            from .checks.runner import check_program
-
-            with open(args.target) as f:
-                module = compile_program(f.read())
-            return check_program(
-                module,
-                args.args,
-                _parse_inputs(args.input),
-                ca=args.ca,
-                cr=args.cr,
-                engine=args.engine,
-                workload=args.target,
-                dataflow_engine=args.dataflow_engine,
-                wz_engine=args.wz_engine,
-            )
+        n, inputs = training_run_inputs()
+        return check_program(
+            running_example_module(),
+            [n],
+            inputs,
+            ca=args.ca,
+            cr=args.cr,
+            workload="running_example",
+        )
 
     timings: Optional[dict[str, float]] = None
     with _trace_capture(args):
@@ -664,9 +636,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                         args.ca,
                         args.cr,
                         args.min_mass,
-                        args.engine,
-                        args.dataflow_engine,
-                        args.wz_engine,
                     )
                     for t in named
                 ]
@@ -682,9 +651,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                         ca=args.ca,
                         cr=args.cr,
                         min_mass=args.min_mass,
-                        engine=args.engine,
-                        dataflow_engine=args.dataflow_engine,
-                        wz_engine=args.wz_engine,
                     )
                 )
         for t in targets:
@@ -713,10 +679,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                     prog_inputs,
                     ca=args.ca,
                     cr=args.cr,
-                    engine=args.engine,
                     workload=t,
-                    dataflow_engine=args.dataflow_engine,
-                    wz_engine=args.wz_engine,
                     min_mass=args.min_mass,
                 )
             )
@@ -791,15 +754,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
     try:
         request = DiffRequest(
             **version,
-            engine=args.engine,
-            dataflow_engine=args.dataflow_engine,
-            wz_engine=args.wz_engine,
             ca=args.ca,
             cr=args.cr,
             min_mass=args.min_mass,
             check=args.check,
         )
-        request.validate_target()
     except ValueError as exc:
         raise SystemExit(f"diff: {exc}")
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
@@ -884,9 +843,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             name=args.file or "inline",
             args=tuple(args.args),
             inputs=_parse_inputs(args.input),
-            engine=args.engine,
-            dataflow_engine=args.dataflow_engine,
-            wz_engine=args.wz_engine,
             ca=args.ca,
             cr=args.cr,
             check=not args.no_check,
@@ -948,20 +904,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", default=[], metavar="NAME=V1,V2")
     p.add_argument("--save-profile", metavar="FILE")
     p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine (compiled = block-compiled fast path)",
-    )
-    p.add_argument(
         "--check",
         action="store_true",
         help="run the invariant checkers on the module and profile "
         "(exit 2 on error findings)",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("optimize", help="path-qualified optimization")
@@ -982,15 +930,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("report", help="experiment summary for a workload")
-    p.add_argument("workload")
+    p.add_argument(
+        "workload",
+        help="target name (workload/handwritten/preset or gen:k=v,... "
+        "spec) or a MiniC file",
+    )
     p.add_argument("--ca", type=float, default=0.97)
     p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
-    )
     p.add_argument(
         "--check",
         action="store_true",
@@ -998,8 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 2 on error findings)",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
@@ -1041,8 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checker re-runs)",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -1089,7 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list targets and instances"
     )
     _add_trace_out(p)
-    _add_wz_engine(p, default=None)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser(
@@ -1100,16 +1041,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "workload",
         nargs="?",
-        help="workload name (defaults to compress95 with --self-check)",
+        help="target name or MiniC file (defaults to compress95 with "
+        "--self-check)",
     )
     p.add_argument("--ca", type=float, default=0.97)
     p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
-    )
     p.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -1125,8 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(CI smoke test)",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -1184,12 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ca", type=float, default=0.97)
     p.add_argument("--cr", type=float, default=0.95)
     p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
-    )
-    p.add_argument(
         "--no-check",
         action="store_true",
         help="skip the invariant checkers (they run by default; "
@@ -1209,8 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="first retry /healthz for up to SECONDS (for freshly "
         "backgrounded daemons)",
     )
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
@@ -1221,23 +1147,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "target",
         nargs="?",
-        help="workload name, 'running_example', or a MiniC file",
+        help="target name (workload/handwritten/preset or gen:k=v,... "
+        "spec), 'running_example', or a MiniC file",
     )
     p.add_argument("--args", type=int, nargs="*", default=[])
     p.add_argument("--input", action="append", default=[], metavar="NAME=V1,V2")
     p.add_argument("--ca", type=float, default=0.97)
     p.add_argument("--cr", type=float, default=0.95)
     p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
-    )
-    p.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent artifact cache for workload targets "
-        "(cached artifacts are checked too)",
+        help="persistent artifact cache (cached artifacts are checked too)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
@@ -1253,8 +1173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "errors and a seeded defect is caught (CI smoke test)",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -1284,12 +1202,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="drop path findings whose supporting profile-mass fraction "
         "is below this threshold (default: %(default)s)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
     )
     p.add_argument(
         "--cache-dir",
@@ -1339,8 +1251,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show at most this many findings in the text report",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
@@ -1386,12 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyzer mass threshold (default: %(default)s)",
     )
     p.add_argument(
-        "--engine",
-        choices=("reference", "compiled"),
-        default="compiled",
-        help="execution engine for the profiling runs",
-    )
-    p.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="persistent artifact cache shared between the two versions "
@@ -1410,8 +1314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when the edit introduces any new lint finding",
     )
     _add_trace_out(p)
-    _add_dataflow_engine(p)
-    _add_wz_engine(p)
     p.set_defaults(func=cmd_diff)
 
     return parser
@@ -1429,26 +1331,6 @@ def _add_trace_out(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="annotate every span with its tracemalloc peak (mem_peak_kb); "
         "implies observability capture",
-    )
-
-
-def _add_dataflow_engine(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--dataflow-engine",
-        choices=("auto", "generic", "compiled"),
-        default="auto",
-        help="dataflow solver engine for the set-problem analyses "
-        "(auto = bitset kernel for separable problems, generic otherwise)",
-    )
-
-
-def _add_wz_engine(p: argparse.ArgumentParser, default: Optional[str] = "auto") -> None:
-    p.add_argument(
-        "--wz-engine",
-        choices=("auto", "generic", "compiled"),
-        default=default,
-        help="Wegman-Zadek conditional-constant engine (auto = dense "
-        "env-array lowering above the size crossover, generic below it)",
     )
 
 

@@ -145,15 +145,13 @@ def run_qualified(
     cr: float = 0.95,
     cfg: Optional[Cfg] = None,
     recording: Optional[frozenset[Edge]] = None,
-    wz_engine: Optional[str] = None,
 ) -> QualifiedAnalysis:
     """Run the full pipeline on one routine.
 
     ``train_profile`` must have been collected on ``fn``'s CFG with the same
-    recording-edge set (the interpreter's profiler guarantees this).
-    ``wz_engine`` selects the conditional-constant engine for all three
-    Wegman–Zadek runs (baseline/hpg/reduced); ``None`` keeps the ambient
-    default (see :func:`repro.dataflow.wz_engine_scope`).
+    recording-edge set (the interpreter's profiler guarantees this).  The
+    three Wegman–Zadek runs (baseline/hpg/reduced) use the WZ engine of the
+    ambient scope (see :mod:`repro.dataflow.wegman_zadek`).
     """
     if cfg is None:
         cfg = Cfg.from_function(fn)
@@ -175,7 +173,7 @@ def run_qualified(
         return tr.span(f"qualified.{name}", routine=fn.name)
 
     with phase("baseline") as span:
-        baseline = analyze(GraphView.from_function(fn, cfg), engine=wz_engine)
+        baseline = analyze(GraphView.from_function(fn, cfg))
     timings["baseline"] = span.duration
 
     result = QualifiedAnalysis(
@@ -209,7 +207,7 @@ def run_qualified(
     timings["profile_translation"] = span.duration
 
     with phase("hpg_analysis") as span:
-        hpg_analysis = analyze(hpg.view(), engine=wz_engine)
+        hpg_analysis = analyze(hpg.view())
     timings["hpg_analysis"] = span.duration
 
     with phase("reduction") as span:
@@ -218,7 +216,7 @@ def run_qualified(
 
     with phase("reduced_analysis") as span:
         reduced_profile = reduce_profile(hpg_profile, reduction.reduced)
-        reduced_analysis = analyze(reduction.reduced.view(), engine=wz_engine)
+        reduced_analysis = analyze(reduction.reduced.view())
     timings["reduced_analysis"] = span.duration
 
     _emit_blowup_metrics(result, automaton, hpg, reduction)

@@ -17,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-from contextlib import nullcontext
-
 from ..automaton.qualification import QualificationAutomaton
 from ..dataflow.framework import DataflowProblem, Solution, solve
 from ..dataflow.graph_view import GraphView
-from ..dataflow.wegman_zadek import wz_engine_scope
 from ..ir.cfg import Cfg, Edge
 from ..ir.function import Function
 from ..profiles.hot_paths import select_hot_paths
@@ -79,32 +76,24 @@ def qualify_problem(
     ca: float = 0.97,
     cfg: Optional[Cfg] = None,
     recording: Optional[frozenset[Edge]] = None,
-    wz_engine: Optional[str] = None,
 ) -> QualifiedSolution:
-    """Solve ``factory``'s problem plainly and on the hot-path graph.
-
-    ``wz_engine``, when given, scopes the Wegman–Zadek engine default over
-    both solves — relevant to factories whose transfer functions consult
-    conditional-constant results.
-    """
+    """Solve ``factory``'s problem plainly and on the hot-path graph."""
     if cfg is None:
         cfg = Cfg.from_function(fn)
     if recording is None:
         recording = recording_edges(cfg)
 
-    scope = wz_engine_scope(wz_engine) if wz_engine is not None else nullcontext()
-    with scope:
-        baseline_view = GraphView.from_function(fn, cfg)
-        baseline = solve(factory(baseline_view), baseline_view)
+    baseline_view = GraphView.from_function(fn, cfg)
+    baseline = solve(factory(baseline_view), baseline_view)
 
-        hot = select_hot_paths(profile, block_sizes_of(fn), ca)
-        if not hot:
-            return QualifiedSolution(
-                fn, None, baseline, baseline_view, None, None
-            )
+    hot = select_hot_paths(profile, block_sizes_of(fn), ca)
+    if not hot:
+        return QualifiedSolution(
+            fn, None, baseline, baseline_view, None, None
+        )
 
-        automaton = QualificationAutomaton(recording, hot)
-        hpg = trace(fn, cfg, recording, automaton)
-        view = hpg.view()
-        qualified = solve(factory(view), view)
+    automaton = QualificationAutomaton(recording, hot)
+    hpg = trace(fn, cfg, recording, automaton)
+    view = hpg.view()
+    qualified = solve(factory(view), view)
     return QualifiedSolution(fn, hpg, baseline, baseline_view, qualified, view)

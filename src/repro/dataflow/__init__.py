@@ -10,7 +10,6 @@ from .framework import (
     engine_scope,
     get_default_engine,
     priority_order,
-    set_default_engine,
     solve,
 )
 from .graph_view import GraphView
@@ -41,7 +40,6 @@ from .wegman_zadek import (
     CondConstResult,
     analyze,
     get_default_wz_engine,
-    set_default_wz_engine,
     wz_engine_scope,
 )
 
@@ -52,7 +50,6 @@ __all__ = [
     "DATAFLOW_ENGINES",
     "engine_scope",
     "get_default_engine",
-    "set_default_engine",
     "priority_order",
     "SolverBudgetExceeded",
     "SolverStats",
@@ -80,6 +77,5 @@ __all__ = [
     "UNREACHABLE",
     "WZ_ENGINES",
     "get_default_wz_engine",
-    "set_default_wz_engine",
     "wz_engine_scope",
 ]

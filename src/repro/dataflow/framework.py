@@ -55,43 +55,25 @@ SOLVER_STRATEGIES = ("rpo", "lifo", "round_robin")
 #: problem overrides :meth:`DataflowProblem.as_genkill`.
 DATAFLOW_ENGINES = ("auto", "generic", "compiled")
 
-_DEFAULT_ENGINE = "auto"
-
-#: Context-carried engine override (:func:`engine_scope`).  A contextvar
-#: rather than the module global, so concurrent threads — e.g. two analysis
-#: service requests with different ``dataflow_engine`` knobs — scope their
-#: engines independently instead of racing on a process-wide default.
-_SCOPED_ENGINE: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_dataflow_engine", default=None
+#: The engine of the innermost :func:`engine_scope`.  A contextvar, so
+#: concurrent threads scope their engines independently.
+_SCOPED_ENGINE: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_dataflow_engine", default="auto"
 )
 
 
 def get_default_engine() -> str:
     """The engine :func:`solve` uses when called without ``engine=``: the
-    innermost :func:`engine_scope` of the current context, else the
-    process-wide default."""
-    scoped = _SCOPED_ENGINE.get()
-    return scoped if scoped is not None else _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: str) -> str:
-    """Install a new process-wide default engine; returns the previous one."""
-    global _DEFAULT_ENGINE
-    if engine not in DATAFLOW_ENGINES:
-        raise ValueError(
-            f"bad dataflow engine {engine!r}; choose from {DATAFLOW_ENGINES}"
-        )
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous
+    innermost :func:`engine_scope` of the current context, else ``auto``."""
+    return _SCOPED_ENGINE.get()
 
 
 @contextmanager
 def engine_scope(engine: str):
-    """Run a block under a different default engine (how the harness and
-    CLI thread ``--dataflow-engine`` through code that calls :func:`solve`
-    many layers down without widening every signature).  Thread-safe: the
-    override is visible only to the context that entered the scope."""
+    """Run a block under a different default engine: the one way to run a
+    whole pipeline on an oracle, since no layer above :func:`solve` takes an
+    engine.  Thread-safe: the override is visible only to the context that
+    entered the scope."""
     if engine not in DATAFLOW_ENGINES:
         raise ValueError(
             f"bad dataflow engine {engine!r}; choose from {DATAFLOW_ENGINES}"
@@ -248,7 +230,7 @@ def solve(
     :class:`SolverBudgetExceeded` is raised when exceeded); with
     ``collect_stats`` the returned :class:`Solution` carries a
     :class:`SolverStats` describing the work done.  ``engine`` overrides the
-    process default (:func:`set_default_engine`): ``"compiled"`` demands the
+    scoped default (:func:`engine_scope`): ``"compiled"`` demands the
     bitset kernel (an error for non-separable problems), ``"generic"``
     forces the oracle, ``"auto"`` — the default default — compiles the
     problems that declare a gen/kill lowering, but only on graphs with at

@@ -43,40 +43,25 @@ Vertex = Hashable
 #: picks compiled at/above ``WZ_AUTO_MIN_VERTICES`` vertices.
 WZ_ENGINES = ("auto", "generic", "compiled")
 
-_DEFAULT_WZ_ENGINE = "auto"
-
-#: Context-carried engine override (:func:`wz_engine_scope`); a contextvar
-#: so concurrent threads scope their engines independently (see the
-#: matching comment in :mod:`repro.dataflow.framework`).
-_SCOPED_WZ_ENGINE: contextvars.ContextVar[Optional[str]] = (
-    contextvars.ContextVar("repro_wz_engine", default=None)
+#: The engine of the innermost :func:`wz_engine_scope`.  A contextvar, so
+#: concurrent threads scope their engines independently.
+_SCOPED_WZ_ENGINE: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_wz_engine", default="auto"
 )
 
 
 def get_default_wz_engine() -> str:
     """The engine :func:`analyze` uses when called without ``engine=``: the
-    innermost :func:`wz_engine_scope` of the current context, else the
-    process-wide default."""
-    scoped = _SCOPED_WZ_ENGINE.get()
-    return scoped if scoped is not None else _DEFAULT_WZ_ENGINE
-
-
-def set_default_wz_engine(engine: str) -> str:
-    """Install a new process-wide default WZ engine; returns the previous."""
-    global _DEFAULT_WZ_ENGINE
-    if engine not in WZ_ENGINES:
-        raise ValueError(f"bad wz engine {engine!r}; choose from {WZ_ENGINES}")
-    previous = _DEFAULT_WZ_ENGINE
-    _DEFAULT_WZ_ENGINE = engine
-    return previous
+    innermost :func:`wz_engine_scope` of the current context, else ``auto``."""
+    return _SCOPED_WZ_ENGINE.get()
 
 
 @contextmanager
 def wz_engine_scope(engine: str):
-    """Run a block under a different default WZ engine (how the harness and
-    CLI thread ``--wz-engine`` through code that calls :func:`analyze` many
-    layers down without widening every signature).  Thread-safe: the
-    override is visible only to the context that entered the scope."""
+    """Run a block under a different default WZ engine: the one way to run
+    a whole pipeline on an oracle, since no layer above :func:`analyze`
+    takes an engine.  Thread-safe: the override is visible only to the
+    context that entered the scope."""
     if engine not in WZ_ENGINES:
         raise ValueError(f"bad wz engine {engine!r}; choose from {WZ_ENGINES}")
     token = _SCOPED_WZ_ENGINE.set(engine)

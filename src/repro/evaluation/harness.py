@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..core.qualified import QualifiedAnalysis, run_qualified
-from ..dataflow import DATAFLOW_ENGINES, WZ_ENGINES, engine_scope, wz_engine_scope
 from ..obs import Span, Tracer, get_tracer
 from ..frontend.lower import compile_program
 from ..interp.interpreter import Interpreter, RunResult
@@ -89,32 +88,11 @@ class WorkloadRun:
         engine: str = "compiled",
         tracer: Optional[Tracer] = None,
         checker=None,
-        dataflow_engine: str = "auto",
-        wz_engine: str = "auto",
     ) -> None:
         if engine not in ("reference", "compiled"):
             raise ValueError(f"bad engine {engine!r}")
-        if dataflow_engine not in DATAFLOW_ENGINES:
-            raise ValueError(
-                f"bad dataflow engine {dataflow_engine!r}; "
-                f"choose from {DATAFLOW_ENGINES}"
-            )
-        if wz_engine not in WZ_ENGINES:
-            raise ValueError(
-                f"bad wz engine {wz_engine!r}; choose from {WZ_ENGINES}"
-            )
         self.workload = workload
         self.engine = engine
-        #: Which dataflow solver engine runs the set-problem analyses this
-        #: harness triggers (lints, qualified pipelines, DCE in the Table 2
-        #: builds) — threaded through :func:`repro.dataflow.engine_scope`.
-        self.dataflow_engine = dataflow_engine
-        #: Which Wegman–Zadek engine runs conditional constant propagation
-        #: everywhere this harness triggers it (qualified pipelines, lints,
-        #: Table 2 builds) — threaded through
-        #: :func:`repro.dataflow.wz_engine_scope` and, for the pipeline
-        #: proper, passed explicitly to :func:`run_qualified`.
-        self.wz_engine = wz_engine
         # Self-verification hooks (null object when disabled; see
         # repro.checks.runner).  Imported lazily: the checks package must
         # stay importable from repro.ir, which this module imports.
@@ -138,8 +116,7 @@ class WorkloadRun:
             validate_module(self.module)
         self._stage_spans["compile"] = span
         if checker.enabled:
-            with engine_scope(dataflow_engine), wz_engine_scope(wz_engine):
-                checker.after_compile(workload.name, self.module)
+            checker.after_compile(workload.name, self.module)
 
         with tr.span(
             "workload.train_run", workload=workload.name, engine=engine
@@ -196,9 +173,7 @@ class WorkloadRun:
         self, ca: float, cr: float
     ) -> dict[str, QualifiedAnalysis]:
         return {
-            name: run_qualified(
-                fn, self.train_profile(name), ca, cr, wz_engine=self.wz_engine
-            )
+            name: run_qualified(fn, self.train_profile(name), ca, cr)
             for name, fn in self.module.functions.items()
         }
 
@@ -220,19 +195,16 @@ class WorkloadRun:
         """Per-routine pipeline results at the given coverage, cached."""
         key = (ca, cr)
         if key not in self._qualified:
-            with engine_scope(self.dataflow_engine), wz_engine_scope(
-                self.wz_engine
+            with self.tracer.span(
+                "workload.qualify", workload=self.workload.name, ca=ca, cr=cr
             ):
-                with self.tracer.span(
-                    "workload.qualify", workload=self.workload.name, ca=ca, cr=cr
-                ):
-                    self._qualified[key] = self._compute_qualified(ca, cr)
-                # Deliberately also covers subclass cache hits: a corrupted
-                # cached artifact fails its invariants just like a fresh one.
-                if self.checker.enabled:
-                    self.checker.after_qualified(
-                        self.workload.name, self._qualified[key]
-                    )
+                self._qualified[key] = self._compute_qualified(ca, cr)
+            # Deliberately also covers subclass cache hits: a corrupted
+            # cached artifact fails its invariants just like a fresh one.
+            if self.checker.enabled:
+                self.checker.after_qualified(
+                    self.workload.name, self._qualified[key]
+                )
         return self._qualified[key]
 
     def lint(
@@ -245,25 +217,22 @@ class WorkloadRun:
 
         Subclasses memoize through :meth:`_compute_lint`, whose cache key
         must include the analyzer configuration (``min_mass`` alongside the
-        coverage parameters and engines)."""
+        coverage parameters)."""
         from ..analyze.passes import DEFAULT_MIN_MASS
 
         if min_mass is None:
             min_mass = DEFAULT_MIN_MASS
         key = (ca, cr, min_mass)
         if key not in self._lint:
-            with engine_scope(self.dataflow_engine), wz_engine_scope(
-                self.wz_engine
-            ):
-                with self.tracer.span(
-                    "workload.lint",
-                    workload=self.workload.name,
-                    ca=ca,
-                    cr=cr,
-                    min_mass=min_mass,
-                ) as span:
-                    self._lint[key] = self._compute_lint(ca, cr, min_mass)
-                span.set(findings=len(self._lint[key]))
+            with self.tracer.span(
+                "workload.lint",
+                workload=self.workload.name,
+                ca=ca,
+                cr=cr,
+                min_mass=min_mass,
+            ) as span:
+                self._lint[key] = self._compute_lint(ca, cr, min_mass)
+            span.set(findings=len(self._lint[key]))
         return self._lint[key]
 
     def _compute_lint(self, ca: float, cr: float, min_mass: float) -> tuple:
@@ -347,10 +316,6 @@ class WorkloadRun:
 
     def build_base_module(self) -> Module:
         """Original CFG + Wegman–Zadek folding + DCE + layout."""
-        with engine_scope(self.dataflow_engine), wz_engine_scope(self.wz_engine):
-            return self._build_base_module()
-
-    def _build_base_module(self) -> Module:
         out = self._fresh_module()
         for name, fn in self.module.functions.items():
             qa = self.qualified(0.0)[name]
@@ -371,12 +336,6 @@ class WorkloadRun:
         self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
     ) -> Module:
         """Reduced hot-path graph + qualified folding + DCE + layout."""
-        with engine_scope(self.dataflow_engine), wz_engine_scope(self.wz_engine):
-            return self._build_optimized_module(ca, cr)
-
-    def _build_optimized_module(
-        self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
-    ) -> Module:
         out = self._fresh_module()
         for name, fn in self.module.functions.items():
             qa = self.qualified(ca, cr)[name]

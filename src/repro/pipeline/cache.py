@@ -36,7 +36,8 @@ from ..obs import get_metrics, get_tracer
 #: Bump to invalidate all persisted artifacts (e.g. on IR format changes).
 #: v2: per-function qualified/lint artifacts, IR-fingerprint run keys, and
 #: tagged canonicalization of bytes / non-finite floats in ``content_key``.
-SCHEMA_VERSION = 2
+#: v3: engines left the qualified, lint and sweep-cell/summary keys.
+SCHEMA_VERSION = 3
 
 #: Artifact kinds the pipeline stores; each gets its own subdirectory and
 #: its own row in the hit/miss statistics.
@@ -82,10 +83,11 @@ def _canonical(part: Any) -> Any:
     return repr(part)
 
 
-def content_key(*parts: Any) -> str:
-    """SHA-256 content hash of the given key parts (order-sensitive)."""
+def content_key(*parts: Any, schema: Optional[int] = None) -> str:
+    """SHA-256 content hash of the given key parts (order-sensitive),
+    under ``schema`` (default :data:`SCHEMA_VERSION`)."""
     h = hashlib.sha256()
-    h.update(f"repro-pipeline-v{SCHEMA_VERSION}".encode())
+    h.update(f"repro-pipeline-v{schema or SCHEMA_VERSION}".encode())
     for part in parts:
         h.update(b"\x00")
         h.update(

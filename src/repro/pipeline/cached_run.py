@@ -10,10 +10,14 @@ Key derivation (see ``docs/PIPELINE.md`` for the full rules):
   new data set re-profiles and a new coverage level does not;
 * qualified pipelines and lint — **per function**: each function's
   artifact is keyed by (function fingerprint, that routine's *profile
-  fingerprint*, CA, CR, engines).  Qualification and lint are
-  function-local computations, so an edit to ``f`` leaves ``g``'s
-  automata, hot-path graphs, qualified dataflow, and findings as warm
-  hits — this is what makes :mod:`repro.pipeline.incremental` cheap.
+  fingerprint*, CA, CR).  Qualification and lint are function-local
+  computations, so an edit to ``f`` leaves ``g``'s automata, hot-path
+  graphs, qualified dataflow, and findings as warm hits — this is what
+  makes :mod:`repro.pipeline.incremental` cheap.
+
+No engine enters a key: the differential suites prove every engine equal
+to its oracle, so an artifact computed under any engine scope serves all
+of them.
 """
 
 from __future__ import annotations
@@ -47,25 +51,18 @@ def qualified_function_key(
     profile_fingerprint: str,
     ca: float,
     cr: float,
-    dataflow_engine: str,
-    wz_engine: str,
 ) -> str:
     """Cache key of one function's qualified pipeline artifact.
 
     Exposed (rather than inlined in :class:`CachedWorkloadRun`) so the
     incremental session can probe hit/miss per function before running.
     """
-    # The dataflow and WZ engines are part of the key: the engines prove
-    # equal solutions, but a cached artifact should always be reproducible
-    # by the exact configuration that produced it.
     return content_key(
         "qualified-fn",
         fn_fingerprint,
         profile_fingerprint,
         ca,
         cr,
-        dataflow_engine,
-        wz_engine,
     )
 
 
@@ -75,13 +72,10 @@ def lint_function_key(
     ca: float,
     cr: float,
     min_mass: float,
-    dataflow_engine: str,
-    wz_engine: str,
 ) -> str:
     """Cache key of one function's ranked lint findings."""
     # Analyzer configuration is part of the key: findings (and their
-    # ranking) depend on the mass threshold and, for the analyzer's own
-    # solves, the engines that ran them.
+    # ranking) depend on the mass threshold.
     return content_key(
         "lint-fn",
         fn_fingerprint,
@@ -89,8 +83,6 @@ def lint_function_key(
         ca,
         cr,
         min_mass,
-        dataflow_engine,
-        wz_engine,
     )
 
 
@@ -108,20 +100,12 @@ class CachedWorkloadRun(WorkloadRun):
         cache: ArtifactCache,
         engine: str = "compiled",
         checker=None,
-        dataflow_engine: str = "auto",
-        wz_engine: str = "auto",
     ) -> None:
         self.cache = cache
         self._fn_fingerprints: Optional[dict[str, str]] = None
         self._module_fingerprint: Optional[str] = None
         self._profile_fingerprints: dict[str, str] = {}
-        super().__init__(
-            workload,
-            engine=engine,
-            checker=checker,
-            dataflow_engine=dataflow_engine,
-            wz_engine=wz_engine,
-        )
+        super().__init__(workload, engine=engine, checker=checker)
 
     # -- fingerprints ------------------------------------------------------
 
@@ -196,8 +180,6 @@ class CachedWorkloadRun(WorkloadRun):
                 self.profile_fingerprint(name),
                 ca,
                 cr,
-                self.dataflow_engine,
-                self.wz_engine,
             )
             out[name] = self._memo(
                 KIND_QUALIFIED,
@@ -207,7 +189,6 @@ class CachedWorkloadRun(WorkloadRun):
                     self.train_profile(name),
                     ca,
                     cr,
-                    wz_engine=self.wz_engine,
                 ),
             )
         return out
@@ -230,8 +211,6 @@ class CachedWorkloadRun(WorkloadRun):
                 ca,
                 cr,
                 min_mass,
-                self.dataflow_engine,
-                self.wz_engine,
             )
             findings.extend(
                 self._memo(
@@ -253,8 +232,6 @@ def make_run(
     cache_dir=None,
     engine: str = "compiled",
     check: bool = False,
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
 ) -> WorkloadRun:
     """Build a run, cached when a cache directory (or cache) is given.
 
@@ -267,19 +244,6 @@ def make_run(
 
         checker = PipelineChecker()
     if cache_dir is None:
-        return WorkloadRun(
-            workload,
-            engine=engine,
-            checker=checker,
-            dataflow_engine=dataflow_engine,
-            wz_engine=wz_engine,
-        )
+        return WorkloadRun(workload, engine=engine, checker=checker)
     cache = cache_dir if isinstance(cache_dir, ArtifactCache) else ArtifactCache(cache_dir)
-    return CachedWorkloadRun(
-        workload,
-        cache,
-        engine=engine,
-        checker=checker,
-        dataflow_engine=dataflow_engine,
-        wz_engine=wz_engine,
-    )
+    return CachedWorkloadRun(workload, cache, engine=engine, checker=checker)

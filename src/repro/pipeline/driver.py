@@ -215,7 +215,7 @@ class SweepResult:
 
 #: Per-process memo of built runs, so a pool worker that already compiled
 #: and profiled a workload serves its remaining coverage jobs from memory.
-_RUN_TABLE: dict[tuple[str, Optional[str], bool, str, str], WorkloadRun] = {}
+_RUN_TABLE: dict[tuple[str, Optional[str], bool], WorkloadRun] = {}
 
 #: Per-process shared caches for incremental sweeps, one per
 #: (workload, cache_dir), so cell/summary memos and any runs they build
@@ -236,21 +236,13 @@ def _obtain_run(
     name: str,
     cache_dir: Optional[str],
     check: bool = False,
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
     incremental: bool = False,
 ) -> WorkloadRun:
-    key = (name, cache_dir, check, dataflow_engine, wz_engine)
+    key = (name, cache_dir, check)
     run = _RUN_TABLE.get(key)
     if run is None:
         store = _obtain_cache(name, cache_dir) if incremental else cache_dir
-        run = make_run(
-            get_workload(name),
-            store,
-            check=check,
-            dataflow_engine=dataflow_engine,
-            wz_engine=wz_engine,
-        )
+        run = make_run(get_workload(name), store, check=check)
         _RUN_TABLE[key] = run
     return run
 
@@ -401,8 +393,6 @@ def _incremental_cell(
     cr: float,
     cache_dir: Optional[str],
     check: bool,
-    dataflow_engine: str,
-    wz_engine: str,
 ) -> tuple[SweepCell, Optional[WorkloadRun]]:
     cache = _obtain_cache(name, cache_dir)
     key = content_key(
@@ -411,22 +401,17 @@ def _incremental_cell(
         _workload_data_part(name),
         ca,
         cr,
-        dataflow_engine,
-        wz_engine,
     )
     cell = cache.memo(
         KIND_SWEEP_CELL,
         key,
         lambda: _cell_from_run(
-            _obtain_run(
-                name, cache_dir, check, dataflow_engine, wz_engine,
-                incremental=True,
-            ),
+            _obtain_run(name, cache_dir, check, incremental=True),
             ca,
             cr,
         ),
     )
-    return cell, _RUN_TABLE.get((name, cache_dir, check, dataflow_engine, wz_engine))
+    return cell, _RUN_TABLE.get((name, cache_dir, check))
 
 
 def _incremental_summary(
@@ -435,8 +420,6 @@ def _incremental_summary(
     cr: float,
     cache_dir: Optional[str],
     check: bool,
-    dataflow_engine: str,
-    wz_engine: str,
     lint: bool,
     min_mass: Optional[float],
 ) -> tuple[WorkloadSummary, Optional[list], Optional[WorkloadRun]]:
@@ -447,17 +430,12 @@ def _incremental_summary(
         _workload_data_part(name),
         default_ca,
         cr,
-        dataflow_engine,
-        wz_engine,
         bool(lint),
         min_mass,
     )
 
     def compute():
-        run = _obtain_run(
-            name, cache_dir, check, dataflow_engine, wz_engine,
-            incremental=True,
-        )
+        run = _obtain_run(name, cache_dir, check, incremental=True)
         summary = _summary_from_run(run, default_ca, cr)
         lint_dicts = (
             [d.to_dict() for d in run.lint(default_ca, cr, min_mass)]
@@ -467,11 +445,7 @@ def _incremental_summary(
         return summary, lint_dicts
 
     summary, lint_dicts = cache.memo(KIND_SWEEP_SUMMARY, key, compute)
-    return (
-        summary,
-        lint_dicts,
-        _RUN_TABLE.get((name, cache_dir, check, dataflow_engine, wz_engine)),
-    )
+    return summary, lint_dicts, _RUN_TABLE.get((name, cache_dir, check))
 
 
 def _cell_job(
@@ -481,19 +455,15 @@ def _cell_job(
     cache_dir: Optional[str],
     obs: bool = False,
     check: bool = False,
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
     incremental: bool = False,
 ) -> tuple:
     active = _ensure_worker_obs(obs)
     with get_tracer().span("driver.cell", workload=name, ca=ca):
         if incremental:
-            cell, run = _incremental_cell(
-                name, ca, cr, cache_dir, check, dataflow_engine, wz_engine
-            )
+            cell, run = _incremental_cell(name, ca, cr, cache_dir, check)
             stats = _obtain_cache(name, cache_dir).stats
         else:
-            run = _obtain_run(name, cache_dir, check, dataflow_engine, wz_engine)
+            run = _obtain_run(name, cache_dir, check)
             cell = _cell_from_run(run, ca, cr)
             stats = _stats_of(run)
     return (
@@ -514,8 +484,6 @@ def _summary_job(
     cache_dir: Optional[str],
     obs: bool = False,
     check: bool = False,
-    dataflow_engine: str = "auto",
-    wz_engine: str = "auto",
     lint: bool = False,
     min_mass: Optional[float] = None,
     incremental: bool = False,
@@ -524,12 +492,11 @@ def _summary_job(
     with get_tracer().span("driver.summary", workload=name):
         if incremental:
             summary, lint_dicts, run = _incremental_summary(
-                name, default_ca, cr, cache_dir, check,
-                dataflow_engine, wz_engine, lint, min_mass,
+                name, default_ca, cr, cache_dir, check, lint, min_mass,
             )
             stats = _obtain_cache(name, cache_dir).stats
         else:
-            run = _obtain_run(name, cache_dir, check, dataflow_engine, wz_engine)
+            run = _obtain_run(name, cache_dir, check)
             summary = _summary_from_run(run, default_ca, cr)
             # Analyzer findings ride on the summary job (exactly one per
             # workload), shipped as dicts across the process boundary; the
@@ -557,24 +524,17 @@ def _suite_cell_job(
     cache_dir: Optional[str],
     archive_dir: Optional[str],
     obs: bool = False,
-    wz_engine: Optional[str] = None,
 ):
     """One workload-matrix cell, shipped to a pool worker by name.
 
     Targets and instances cross the process boundary as strings and are
     resolved worker-side (generated targets re-derive deterministically from
     their spec), mirroring the workload-name convention of :func:`_cell_job`.
-    ``wz_engine``, when given, overrides the resolved instance's
-    Wegman-Zadek engine (the ``suite --wz-engine`` flag).
     """
-    from dataclasses import replace
-
     from ..workloads.matrix import resolve_instance, run_cell
 
     active = _ensure_worker_obs(obs)
     instance = resolve_instance(instance_name)
-    if wz_engine is not None:
-        instance = replace(instance, wz_engine=wz_engine)
     with get_tracer().span(
         "driver.suite_cell", target=target, instance=instance_name
     ):
@@ -598,8 +558,6 @@ class ParallelDriver:
         cr: float = DEFAULT_CR,
         default_ca: float = DEFAULT_CA,
         check: bool = False,
-        dataflow_engine: str = "auto",
-        wz_engine: str = "auto",
         lint: bool = False,
         min_mass: Optional[float] = None,
         incremental: bool = False,
@@ -612,10 +570,6 @@ class ParallelDriver:
         self.default_ca = default_ca
         #: Verify every pipeline stage of every job (SweepResult.diagnostics).
         self.check = check
-        #: Dataflow solver engine for every job's analyses.
-        self.dataflow_engine = dataflow_engine
-        #: Wegman-Zadek engine for every job's conditional-constant runs.
-        self.wz_engine = wz_engine
         #: Run the profile-qualified analyzer once per workload
         #: (SweepResult.lint_findings).
         self.lint = lint
@@ -667,7 +621,6 @@ class ParallelDriver:
         targets: Sequence[str],
         instances: Sequence[str],
         archive_dir: Optional[str] = None,
-        wz_engine: Optional[str] = None,
     ):
         """Run the workload matrix (:mod:`repro.workloads.matrix`) over the
         driver's pool.
@@ -677,11 +630,8 @@ class ParallelDriver:
         process-pool job.  Both produce identical
         :class:`~repro.workloads.matrix.MatrixResult` values — cells are
         deterministic and the archive is content-addressed, so concurrent
-        writers agree.  ``wz_engine``, when given, overrides every
-        instance's Wegman-Zadek engine (and hence the cell keys).
+        writers agree.
         """
-        from dataclasses import replace
-
         from ..workloads.matrix import (
             MatrixResult,
             resolve_instances,
@@ -689,8 +639,6 @@ class ParallelDriver:
         )
 
         insts = resolve_instances(instances)
-        if wz_engine is not None:
-            insts = tuple(replace(i, wz_engine=wz_engine) for i in insts)
         if self.jobs == 1:
             return run_suite(targets, insts, self.cache_dir, archive_dir)
         result = MatrixResult(
@@ -712,7 +660,7 @@ class ParallelDriver:
                 futures = [
                     pool.submit(
                         _suite_cell_job, target, name, self.cache_dir,
-                        archive_dir, obs, wz_engine,
+                        archive_dir, obs,
                     )
                     for target in result.targets
                     for name in result.instances
@@ -745,13 +693,7 @@ class ParallelDriver:
             return
         for name in result.workloads:
             with get_tracer().span("driver.workload", workload=name):
-                run = make_run(
-                    get_workload(name),
-                    self.cache_dir,
-                    check=self.check,
-                    dataflow_engine=self.dataflow_engine,
-                    wz_engine=self.wz_engine,
-                )
+                run = make_run(get_workload(name), self.cache_dir, check=self.check)
                 for ca in result.ca_values:
                     result.cells[(name, ca)] = _cell_from_run(run, ca, self.cr)
                 result.summaries[name] = _summary_from_run(
@@ -777,13 +719,11 @@ class ParallelDriver:
                 for ca in result.ca_values:
                     cell, run = _incremental_cell(
                         name, ca, self.cr, self.cache_dir, self.check,
-                        self.dataflow_engine, self.wz_engine,
                     )
                     result.cells[(name, ca)] = cell
                 summary, lint_dicts, run = _incremental_summary(
                     name, self.default_ca, self.cr, self.cache_dir,
-                    self.check, self.dataflow_engine, self.wz_engine,
-                    self.lint, self.min_mass,
+                    self.check, self.lint, self.min_mass,
                 )
                 result.summaries[name] = summary
                 if lint_dicts is not None:
@@ -813,8 +753,7 @@ class ParallelDriver:
             futures = [
                 pool.submit(
                     _cell_job, name, ca, self.cr, self.cache_dir, obs,
-                    self.check, self.dataflow_engine, self.wz_engine,
-                    self.incremental,
+                    self.check, self.incremental,
                 )
                 for name in result.workloads
                 for ca in result.ca_values
@@ -828,8 +767,6 @@ class ParallelDriver:
                     self.cache_dir,
                     obs,
                     self.check,
-                    self.dataflow_engine,
-                    self.wz_engine,
                     self.lint,
                     self.min_mass,
                     self.incremental,

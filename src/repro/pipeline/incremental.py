@@ -27,7 +27,7 @@ wall-clock numbers.
 
 The per-function granularity comes from :mod:`repro.pipeline.cached_run`:
 qualified and lint artifacts key on ``(function fingerprint, profile
-fingerprint, CA, CR, engines)``, so an edit to ``f`` leaves ``g``'s
+fingerprint, CA, CR)``, so an edit to ``f`` leaves ``g``'s
 automata, hot-path graphs, and qualified dataflow warm — unless the edit
 changed ``g``'s *profile* (e.g. ``f`` now calls ``g`` differently), in
 which case ``g`` correctly re-analyzes and the ledger says so.
@@ -51,8 +51,9 @@ from .cached_run import (
     qualified_function_key,
 )
 
-#: Version of the differential report payload.
-DIFF_SCHEMA = 1
+#: Version of the differential report payload (2: the engines left
+#: ``config``).
+DIFF_SCHEMA = 2
 
 HIT = "hit"
 RECOMPUTE = "recompute"
@@ -125,10 +126,7 @@ class IncrementalSession:
         ca: float = DEFAULT_CA,
         cr: float = DEFAULT_CR,
         min_mass: Optional[float] = None,
-        engine: str = "compiled",
         check: bool = False,
-        dataflow_engine: str = "auto",
-        wz_engine: str = "auto",
     ) -> None:
         from ..analyze.passes import DEFAULT_MIN_MASS
 
@@ -140,10 +138,7 @@ class IncrementalSession:
         self.ca = ca
         self.cr = cr
         self.min_mass = DEFAULT_MIN_MASS if min_mass is None else min_mass
-        self.engine = engine
         self.check = check
-        self.dataflow_engine = dataflow_engine
-        self.wz_engine = wz_engine
         self.old_run: Optional[CachedWorkloadRun] = None
         self.new_run: Optional[CachedWorkloadRun] = None
         self._report: Optional[dict] = None
@@ -151,14 +146,7 @@ class IncrementalSession:
     # -- runs --------------------------------------------------------------
 
     def _build_run(self, workload: Workload) -> CachedWorkloadRun:
-        run = make_run(
-            workload,
-            self.cache,
-            engine=self.engine,
-            check=self.check,
-            dataflow_engine=self.dataflow_engine,
-            wz_engine=self.wz_engine,
-        )
+        run = make_run(workload, self.cache, check=self.check)
         # Drive the full pipeline so checker hooks fire and artifacts land.
         run.qualified(self.ca, self.cr)
         run.lint(self.ca, self.cr, self.min_mass)
@@ -172,18 +160,8 @@ class IncrementalSession:
         fp = run.function_fingerprints()[name]
         pfp = run.profile_fingerprint(name)
         return (
-            qualified_function_key(
-                fp, pfp, self.ca, self.cr, self.dataflow_engine, self.wz_engine
-            ),
-            lint_function_key(
-                fp,
-                pfp,
-                self.ca,
-                self.cr,
-                self.min_mass,
-                self.dataflow_engine,
-                self.wz_engine,
-            ),
+            qualified_function_key(fp, pfp, self.ca, self.cr),
+            lint_function_key(fp, pfp, self.ca, self.cr, self.min_mass),
         )
 
     def _ledger(self) -> dict:
@@ -325,10 +303,7 @@ class IncrementalSession:
                 "ca": self.ca,
                 "cr": self.cr,
                 "min_mass": self.min_mass,
-                "engine": self.engine,
                 "check": self.check,
-                "dataflow_engine": self.dataflow_engine,
-                "wz_engine": self.wz_engine,
             },
             "functions": {
                 "changed": list(changed),

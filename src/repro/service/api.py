@@ -2,10 +2,9 @@
 
 An :class:`AnalysisRequest` names a program — a registered workload, a
 ``gen:key=value,...`` generator spec, or inline MiniC source — plus the
-pipeline knobs (interpreter/dataflow/WZ engines, CA/CR coverage, checks
-on/off).  :func:`execute_request` runs the full Ammons–Larus pipeline for
-it (profile → qualify → dataflow → diagnostics) and renders a plain-JSON
-payload.
+pipeline knobs (CA/CR coverage, checks on/off).  :func:`execute_request`
+runs the full Ammons–Larus pipeline for it (profile → qualify → dataflow →
+diagnostics) and renders a plain-JSON payload.
 
 The payload is **deterministic** apart from its ``timings`` key: the same
 request against the same code produces bit-identical
@@ -21,39 +20,198 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..dataflow import DATAFLOW_ENGINES, WZ_ENGINES
 from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, Workload, WorkloadRun
 from ..pipeline.cache import ArtifactCache, content_key
 
-#: Bump when the payload shape changes incompatibly.
-PAYLOAD_SCHEMA = 1
-
-_ENGINES = ("reference", "compiled")
-
-
-def _int_tuple(values: Any, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a sequence of integers") from None
+#: Bump when the payload shape changes incompatibly (2: the engines left
+#: ``config``).
+PAYLOAD_SCHEMA = 2
 
 
-def _inputs_map(values: Any, what: str) -> dict[str, tuple[int, ...]]:
-    if values is None:
-        return {}
-    if not isinstance(values, Mapping):
-        raise ValueError(f"{what} must map array names to integer lists")
-    return {
-        str(name): _int_tuple(vals, f"{what}[{name!r}]")
-        for name, vals in values.items()
+# ---------------------------------------------------------------------------
+# field parsers
+# ---------------------------------------------------------------------------
+#
+# Each parser takes an untrusted value and the field's name, and returns the
+# value in its stored form or raises ``ValueError`` — never ``TypeError``,
+# so a malformed field is a 400, not a dropped connection.
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _text(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"'{name}' must be a string")
+    return value
+
+
+def _source(value: Any, name: str) -> str:
+    if not _text(value, name).strip():
+        raise ValueError(f"'{name}' is empty")
+    return value
+
+
+def _target(value: Any, name: str) -> str:
+    """A registered target name or a ``gen:key=value,...`` spec, checked
+    by name only (so an unknown target is a 400, not a failed job)."""
+    from ..workloads.generate import parse_genspec
+    from ..workloads.matrix import TARGET_NAMES
+
+    if _text(value, name).startswith("gen:"):
+        parse_genspec(value)  # raises ValueError on a bad spec
+    elif value not in TARGET_NAMES:
+        raise ValueError(
+            f"unknown target {value!r}; choose from {TARGET_NAMES} "
+            f"or a gen:key=value,... spec"
+        )
+    return value
+
+
+def _flag(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"'{name}' must be true or false")
+    return value
+
+
+def _fraction(value: Any, name: str) -> float:
+    if not (_is_int(value) or isinstance(value, float)) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _positive_int(value: Any, name: str) -> int:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _list(value: Any, name: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{name}' must be a list")
+    return value
+
+
+def _ints(value: Any, name: str) -> tuple[int, ...]:
+    if not all(_is_int(v) for v in _list(value, name)):
+        raise ValueError(f"'{name}' must be a list of integers")
+    return tuple(value)
+
+
+def _fractions(value: Any, name: str) -> tuple[float, ...]:
+    values = _list(value, name)
+    return tuple(_fraction(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def _arrays(value: Any, name: str) -> dict[str, tuple[int, ...]]:
+    if not isinstance(value, Mapping) or not all(isinstance(k, str) for k in value):
+        raise ValueError(f"'{name}' must map array names to integer lists")
+    return {k: _ints(v, f"{name}[{k!r}]") for k, v in value.items()}
+
+
+def _workload_names(value: Any, name: str) -> tuple[str, ...]:
+    from ..workloads import WORKLOAD_NAMES
+
+    unknown = [w for w in _list(value, name) if w not in WORKLOAD_NAMES]
+    if unknown:
+        raise ValueError(
+            f"unknown workload(s) {unknown}; choose from {WORKLOAD_NAMES}"
+        )
+    return tuple(value)
+
+
+def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+#: The parser of every request field, by name; a field means the same in
+#: every request kind that has it.
+_FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
+    "target": _optional(_target),
+    "source": _optional(_source),
+    "new_source": _optional(_source),
+    "edit_function": _optional(_text),
+    "seed_edit": _flag,
+    "name": _text,
+    "args": _ints,
+    "inputs": _arrays,
+    "ref_args": _optional(_ints),
+    "ref_inputs": _optional(_arrays),
+    "ca": _fraction,
+    "cr": _fraction,
+    "min_mass": _fraction,
+    "check": _flag,
+    "table2": _flag,
+    "workloads": _workload_names,
+    "ca_values": _fractions,
+    "jobs": _positive_int,
+}
+
+
+def _plain(value: Any) -> Any:
+    """A stored field value as JSON data."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Mapping):
+        return {k: list(v) for k, v in sorted(value.items())}
+    return value
+
+
+def _request_kind(cls):
+    """Make ``cls`` a frozen request dataclass and build its table of field
+    parsers, once."""
+    cls = dataclass(frozen=True)(cls)
+    cls._parsers = {
+        f.name: _FIELD_PARSERS[f.name] for f in dataclasses.fields(cls)
     }
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# requests
+# ---------------------------------------------------------------------------
+
+
+class _Request:
+    """Parsing, serialization and fingerprinting shared by the request kinds.
+
+    Every field passes through its parser when the request is built, so a
+    request built in code and one parsed from a JSON body get the same
+    checks and the same stored form."""
+
+    kind: str
+    _parsers: dict[str, Callable[[Any, str], Any]]
+
+    def __post_init__(self) -> None:
+        for name, parse in self._parsers.items():
+            object.__setattr__(self, name, parse(getattr(self, name), name))
+
+    @classmethod
+    def from_dict(cls, d: Any):
+        """Parse an untrusted JSON body; raises ``ValueError`` on bad input."""
+        if not isinstance(d, Mapping):
+            raise ValueError("request body must be a JSON object")
+        unknown = set(d) - cls._parsers.keys()
+        if unknown:
+            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
+        return cls(**d)
+
+    def to_dict(self) -> dict:
+        """The JSON body :meth:`from_dict` parses back to an equal request."""
+        return {name: _plain(getattr(self, name)) for name in self._parsers}
+
+    def fingerprint(self) -> str:
+        """Content hash identifying this request's full configuration —
+        the coalescing key for identical concurrent submissions."""
+        return content_key(f"service-{self.kind}", self.to_dict())
 
 
 @dataclass(frozen=True)
-class AnalysisRequest:
-    """One analysis submission, normalized and content-addressable."""
+class _ProgramRequest(_Request):
+    """The program a request analyzes: a named target or inline source."""
 
     #: Registered target name (workload / handwritten / generator preset)
     #: or an ad-hoc ``gen:key=value,...`` spec.  Mutually exclusive with
@@ -69,11 +227,23 @@ class AnalysisRequest:
     #: Ref-run arguments / inputs; default to the train ones.
     ref_args: Optional[tuple[int, ...]] = None
     ref_inputs: Optional[Mapping[str, Sequence[int]]] = None
-    engine: str = "compiled"
-    dataflow_engine: str = "auto"
-    wz_engine: str = "auto"
     ca: float = DEFAULT_CA
     cr: float = DEFAULT_CR
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.target is None) == (self.source is None):
+            raise ValueError("give exactly one of 'target' or 'source'")
+
+    def _program(self) -> str:
+        """The target name, or the label of the inline program."""
+        return self.target if self.target is not None else self.name
+
+
+@_request_kind
+class AnalysisRequest(_ProgramRequest):
+    """One analysis submission, normalized and content-addressable."""
+
     #: Run the invariant checkers over every pipeline stage.
     check: bool = True
     #: Also build and cost the base/optimized executables (Table 2) — two
@@ -82,111 +252,12 @@ class AnalysisRequest:
 
     kind = "analyze"
 
-    def __post_init__(self) -> None:
-        if (self.target is None) == (self.source is None):
-            raise ValueError("give exactly one of 'target' or 'source'")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"bad engine {self.engine!r}; choose from {_ENGINES}")
-        if self.dataflow_engine not in DATAFLOW_ENGINES:
-            raise ValueError(
-                f"bad dataflow_engine {self.dataflow_engine!r}; "
-                f"choose from {DATAFLOW_ENGINES}"
-            )
-        if self.wz_engine not in WZ_ENGINES:
-            raise ValueError(
-                f"bad wz_engine {self.wz_engine!r}; choose from {WZ_ENGINES}"
-            )
-        if not 0.0 <= float(self.ca) <= 1.0:
-            raise ValueError(f"ca must be in [0, 1], got {self.ca}")
-        if not 0.0 <= float(self.cr) <= 1.0:
-            raise ValueError(f"cr must be in [0, 1], got {self.cr}")
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "AnalysisRequest":
-        """Parse an untrusted JSON body; raises ``ValueError`` on bad input."""
-        if not isinstance(d, Mapping):
-            raise ValueError("request body must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
-        target = d.get("target")
-        source = d.get("source")
-        if target is not None and not isinstance(target, str):
-            raise ValueError("'target' must be a string")
-        if source is not None and not isinstance(source, str):
-            raise ValueError("'source' must be a string")
-        ref_args = d.get("ref_args")
-        ref_inputs = d.get("ref_inputs")
-        return cls(
-            target=target,
-            source=source,
-            name=str(d.get("name", "inline")),
-            args=_int_tuple(d.get("args", ()), "args"),
-            inputs=_inputs_map(d.get("inputs"), "inputs"),
-            ref_args=None if ref_args is None else _int_tuple(ref_args, "ref_args"),
-            ref_inputs=None if ref_inputs is None else _inputs_map(ref_inputs, "ref_inputs"),
-            engine=str(d.get("engine", "compiled")),
-            dataflow_engine=str(d.get("dataflow_engine", "auto")),
-            wz_engine=str(d.get("wz_engine", "auto")),
-            ca=float(d.get("ca", DEFAULT_CA)),
-            cr=float(d.get("cr", DEFAULT_CR)),
-            check=bool(d.get("check", True)),
-            table2=bool(d.get("table2", False)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "source": self.source,
-            "name": self.name,
-            "args": list(self.args),
-            "inputs": {k: list(v) for k, v in sorted(self.inputs.items())},
-            "ref_args": None if self.ref_args is None else list(self.ref_args),
-            "ref_inputs": (
-                None
-                if self.ref_inputs is None
-                else {k: list(v) for k, v in sorted(self.ref_inputs.items())}
-            ),
-            "engine": self.engine,
-            "dataflow_engine": self.dataflow_engine,
-            "wz_engine": self.wz_engine,
-            "ca": self.ca,
-            "cr": self.cr,
-            "check": self.check,
-            "table2": self.table2,
-        }
-
-    def fingerprint(self) -> str:
-        """Content hash identifying this request's full configuration —
-        the coalescing key for identical concurrent submissions."""
-        return content_key("service-analyze", self.to_dict())
-
     def label(self) -> str:
-        return self.target if self.target is not None else self.name
-
-    def validate_target(self) -> None:
-        """Cheap submit-time validation of the *name* of the request (so an
-        unknown target is a 400, not a failed job).  Inline source is only
-        compiled worker-side."""
-        if self.source is not None:
-            if not self.source.strip():
-                raise ValueError("inline 'source' is empty")
-            return
-        from ..workloads.generate import parse_genspec
-        from ..workloads.matrix import TARGET_NAMES
-
-        if self.target.startswith("gen:"):
-            parse_genspec(self.target)  # raises ValueError on a bad spec
-        elif self.target not in TARGET_NAMES:
-            raise ValueError(
-                f"unknown target {self.target!r}; choose from {TARGET_NAMES} "
-                f"or a gen:key=value,... spec"
-            )
+        return self._program()
 
 
-@dataclass(frozen=True)
-class LintRequest:
+@_request_kind
+class LintRequest(_ProgramRequest):
     """One analyzer submission: the ``/v1/lint`` body.
 
     Shares the target model of :class:`AnalysisRequest` (named targets or
@@ -194,124 +265,17 @@ class LintRequest:
     deterministic, so the same request produces bit-identical
     :func:`comparable_payload` values through the daemon and the CLI."""
 
-    target: Optional[str] = None
-    source: Optional[str] = None
-    name: str = "inline"
-    args: tuple[int, ...] = ()
-    inputs: Mapping[str, Sequence[int]] = field(default_factory=dict)
-    ref_args: Optional[tuple[int, ...]] = None
-    ref_inputs: Optional[Mapping[str, Sequence[int]]] = None
-    engine: str = "compiled"
-    dataflow_engine: str = "auto"
-    wz_engine: str = "auto"
-    ca: float = DEFAULT_CA
-    cr: float = DEFAULT_CR
     #: Drop path findings below this profile-mass fraction.
     min_mass: float = 0.5
 
     kind = "lint"
 
-    def __post_init__(self) -> None:
-        if (self.target is None) == (self.source is None):
-            raise ValueError("give exactly one of 'target' or 'source'")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"bad engine {self.engine!r}; choose from {_ENGINES}")
-        if self.dataflow_engine not in DATAFLOW_ENGINES:
-            raise ValueError(
-                f"bad dataflow_engine {self.dataflow_engine!r}; "
-                f"choose from {DATAFLOW_ENGINES}"
-            )
-        if self.wz_engine not in WZ_ENGINES:
-            raise ValueError(
-                f"bad wz_engine {self.wz_engine!r}; choose from {WZ_ENGINES}"
-            )
-        if not 0.0 <= float(self.ca) <= 1.0:
-            raise ValueError(f"ca must be in [0, 1], got {self.ca}")
-        if not 0.0 <= float(self.cr) <= 1.0:
-            raise ValueError(f"cr must be in [0, 1], got {self.cr}")
-        if not 0.0 <= float(self.min_mass) <= 1.0:
-            raise ValueError(
-                f"min_mass must be in [0, 1], got {self.min_mass}"
-            )
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "LintRequest":
-        if not isinstance(d, Mapping):
-            raise ValueError("request body must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
-        target = d.get("target")
-        source = d.get("source")
-        if target is not None and not isinstance(target, str):
-            raise ValueError("'target' must be a string")
-        if source is not None and not isinstance(source, str):
-            raise ValueError("'source' must be a string")
-        ref_args = d.get("ref_args")
-        ref_inputs = d.get("ref_inputs")
-        return cls(
-            target=target,
-            source=source,
-            name=str(d.get("name", "inline")),
-            args=_int_tuple(d.get("args", ()), "args"),
-            inputs=_inputs_map(d.get("inputs"), "inputs"),
-            ref_args=None if ref_args is None else _int_tuple(ref_args, "ref_args"),
-            ref_inputs=None if ref_inputs is None else _inputs_map(ref_inputs, "ref_inputs"),
-            engine=str(d.get("engine", "compiled")),
-            dataflow_engine=str(d.get("dataflow_engine", "auto")),
-            wz_engine=str(d.get("wz_engine", "auto")),
-            ca=float(d.get("ca", DEFAULT_CA)),
-            cr=float(d.get("cr", DEFAULT_CR)),
-            min_mass=float(d.get("min_mass", 0.5)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "source": self.source,
-            "name": self.name,
-            "args": list(self.args),
-            "inputs": {k: list(v) for k, v in sorted(self.inputs.items())},
-            "ref_args": None if self.ref_args is None else list(self.ref_args),
-            "ref_inputs": (
-                None
-                if self.ref_inputs is None
-                else {k: list(v) for k, v in sorted(self.ref_inputs.items())}
-            ),
-            "engine": self.engine,
-            "dataflow_engine": self.dataflow_engine,
-            "wz_engine": self.wz_engine,
-            "ca": self.ca,
-            "cr": self.cr,
-            "min_mass": self.min_mass,
-        }
-
-    def fingerprint(self) -> str:
-        return content_key("service-lint", self.to_dict())
-
     def label(self) -> str:
-        return "lint:" + (self.target if self.target is not None else self.name)
-
-    def validate_target(self) -> None:
-        if self.source is not None:
-            if not self.source.strip():
-                raise ValueError("inline 'source' is empty")
-            return
-        from ..workloads.generate import parse_genspec
-        from ..workloads.matrix import TARGET_NAMES
-
-        if self.target.startswith("gen:"):
-            parse_genspec(self.target)
-        elif self.target not in TARGET_NAMES:
-            raise ValueError(
-                f"unknown target {self.target!r}; choose from {TARGET_NAMES} "
-                f"or a gen:key=value,... spec"
-            )
+        return "lint:" + self._program()
 
 
-@dataclass(frozen=True)
-class DiffRequest:
+@_request_kind
+class DiffRequest(_ProgramRequest):
     """One incremental re-analysis: the ``/v1/diff`` body.
 
     ``target``/``source`` name the *old* version exactly like the other
@@ -323,24 +287,12 @@ class DiffRequest:
     ``repro diff`` agree bit-for-bit; the daemon coalesces concurrent
     submissions by the fingerprint of the (old, new) pair."""
 
-    target: Optional[str] = None
-    source: Optional[str] = None
     #: The edited program version.  Mutually exclusive with ``seed_edit``.
     new_source: Optional[str] = None
     #: Apply the deterministic seeded one-function edit to the old source.
     seed_edit: bool = False
     #: Restrict the seeded edit to this function (default: the first).
     edit_function: Optional[str] = None
-    name: str = "inline"
-    args: tuple[int, ...] = ()
-    inputs: Mapping[str, Sequence[int]] = field(default_factory=dict)
-    ref_args: Optional[tuple[int, ...]] = None
-    ref_inputs: Optional[Mapping[str, Sequence[int]]] = None
-    engine: str = "compiled"
-    dataflow_engine: str = "auto"
-    wz_engine: str = "auto"
-    ca: float = DEFAULT_CA
-    cr: float = DEFAULT_CR
     min_mass: float = 0.5
     #: Run the pipeline checkers on both versions and diff their findings.
     check: bool = False
@@ -348,118 +300,18 @@ class DiffRequest:
     kind = "diff"
 
     def __post_init__(self) -> None:
-        if (self.target is None) == (self.source is None):
-            raise ValueError("give exactly one of 'target' or 'source'")
+        super().__post_init__()
         if (self.new_source is None) == (not self.seed_edit):
             raise ValueError(
                 "give exactly one of 'new_source' or 'seed_edit'"
             )
-        if self.engine not in _ENGINES:
-            raise ValueError(f"bad engine {self.engine!r}; choose from {_ENGINES}")
-        if self.dataflow_engine not in DATAFLOW_ENGINES:
-            raise ValueError(
-                f"bad dataflow_engine {self.dataflow_engine!r}; "
-                f"choose from {DATAFLOW_ENGINES}"
-            )
-        if self.wz_engine not in WZ_ENGINES:
-            raise ValueError(
-                f"bad wz_engine {self.wz_engine!r}; choose from {WZ_ENGINES}"
-            )
-        if not 0.0 <= float(self.ca) <= 1.0:
-            raise ValueError(f"ca must be in [0, 1], got {self.ca}")
-        if not 0.0 <= float(self.cr) <= 1.0:
-            raise ValueError(f"cr must be in [0, 1], got {self.cr}")
-        if not 0.0 <= float(self.min_mass) <= 1.0:
-            raise ValueError(
-                f"min_mass must be in [0, 1], got {self.min_mass}"
-            )
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DiffRequest":
-        if not isinstance(d, Mapping):
-            raise ValueError("request body must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
-        for key in ("target", "source", "new_source", "edit_function"):
-            value = d.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"'{key}' must be a string")
-        ref_args = d.get("ref_args")
-        ref_inputs = d.get("ref_inputs")
-        return cls(
-            target=d.get("target"),
-            source=d.get("source"),
-            new_source=d.get("new_source"),
-            seed_edit=bool(d.get("seed_edit", False)),
-            edit_function=d.get("edit_function"),
-            name=str(d.get("name", "inline")),
-            args=_int_tuple(d.get("args", ()), "args"),
-            inputs=_inputs_map(d.get("inputs"), "inputs"),
-            ref_args=None if ref_args is None else _int_tuple(ref_args, "ref_args"),
-            ref_inputs=None if ref_inputs is None else _inputs_map(ref_inputs, "ref_inputs"),
-            engine=str(d.get("engine", "compiled")),
-            dataflow_engine=str(d.get("dataflow_engine", "auto")),
-            wz_engine=str(d.get("wz_engine", "auto")),
-            ca=float(d.get("ca", DEFAULT_CA)),
-            cr=float(d.get("cr", DEFAULT_CR)),
-            min_mass=float(d.get("min_mass", 0.5)),
-            check=bool(d.get("check", False)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "source": self.source,
-            "new_source": self.new_source,
-            "seed_edit": self.seed_edit,
-            "edit_function": self.edit_function,
-            "name": self.name,
-            "args": list(self.args),
-            "inputs": {k: list(v) for k, v in sorted(self.inputs.items())},
-            "ref_args": None if self.ref_args is None else list(self.ref_args),
-            "ref_inputs": (
-                None
-                if self.ref_inputs is None
-                else {k: list(v) for k, v in sorted(self.ref_inputs.items())}
-            ),
-            "engine": self.engine,
-            "dataflow_engine": self.dataflow_engine,
-            "wz_engine": self.wz_engine,
-            "ca": self.ca,
-            "cr": self.cr,
-            "min_mass": self.min_mass,
-            "check": self.check,
-        }
-
-    def fingerprint(self) -> str:
-        return content_key("service-diff", self.to_dict())
 
     def label(self) -> str:
-        return "diff:" + (self.target if self.target is not None else self.name)
-
-    def validate_target(self) -> None:
-        if self.new_source is not None and not self.new_source.strip():
-            raise ValueError("'new_source' is empty")
-        if self.source is not None:
-            if not self.source.strip():
-                raise ValueError("inline 'source' is empty")
-            return
-        from ..workloads.generate import parse_genspec
-        from ..workloads.matrix import TARGET_NAMES
-
-        if self.target.startswith("gen:"):
-            parse_genspec(self.target)
-        elif self.target not in TARGET_NAMES:
-            raise ValueError(
-                f"unknown target {self.target!r}; choose from {TARGET_NAMES} "
-                f"or a gen:key=value,... spec"
-            )
+        return "diff:" + self._program()
 
 
-@dataclass(frozen=True)
-class SweepRequest:
+@_request_kind
+class SweepRequest(_Request):
     """A figure/table coverage sweep, batched onto the
     :class:`~repro.pipeline.driver.ParallelDriver` pool."""
 
@@ -469,52 +321,11 @@ class SweepRequest:
     #: Process-pool width the driver fans out with (1 = serial in-worker).
     jobs: int = 1
     check: bool = False
-    dataflow_engine: str = "auto"
-    wz_engine: str = "auto"
 
     kind = "sweep"
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SweepRequest":
-        if not isinstance(d, Mapping):
-            raise ValueError("request body must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
-        jobs = int(d.get("jobs", 1))
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return cls(
-            workloads=tuple(str(w) for w in d.get("workloads", ())),
-            ca_values=tuple(float(c) for c in d.get("ca_values", ())),
-            cr=float(d.get("cr", DEFAULT_CR)),
-            jobs=jobs,
-            check=bool(d.get("check", False)),
-            dataflow_engine=str(d.get("dataflow_engine", "auto")),
-            wz_engine=str(d.get("wz_engine", "auto")),
-        )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self) | {
-            "workloads": list(self.workloads),
-            "ca_values": list(self.ca_values),
-        }
-
-    def fingerprint(self) -> str:
-        return content_key("service-sweep", self.to_dict())
-
     def label(self) -> str:
         return "sweep:" + ",".join(self.workloads or ("all",))
-
-    def validate_target(self) -> None:
-        from ..workloads import WORKLOAD_NAMES
-
-        unknown = [w for w in self.workloads if w not in WORKLOAD_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown workload(s) {unknown}; choose from {WORKLOAD_NAMES}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +333,7 @@ class SweepRequest:
 # ---------------------------------------------------------------------------
 
 
-def resolve_workload(
-    request: "AnalysisRequest | LintRequest | DiffRequest",
-) -> Workload:
+def resolve_workload(request: _ProgramRequest) -> Workload:
     """The request's program as a :class:`Workload` (named targets resolve
     through the matrix registry; inline source becomes an ad-hoc one)."""
     if request.target is not None:
@@ -589,9 +398,6 @@ def analysis_payload(
         "schema": PAYLOAD_SCHEMA,
         "workload": run.workload.name,
         "config": {
-            "engine": run.engine,
-            "dataflow_engine": run.dataflow_engine,
-            "wz_engine": run.wz_engine,
             "ca": ca,
             "cr": cr,
             "check": run.checker.enabled,
@@ -619,14 +425,7 @@ def execute_request(
     from ..pipeline.cached_run import make_run
 
     workload = resolve_workload(request)
-    run = make_run(
-        workload,
-        cache,
-        engine=request.engine,
-        check=request.check,
-        dataflow_engine=request.dataflow_engine,
-        wz_engine=request.wz_engine,
-    )
+    run = make_run(workload, cache, check=request.check)
     return analysis_payload(run, request.ca, request.cr, table2=request.table2)
 
 
@@ -641,14 +440,7 @@ def execute_lint(
     from ..pipeline.cached_run import make_run
 
     workload = resolve_workload(request)
-    run = make_run(
-        workload,
-        cache,
-        engine=request.engine,
-        check=False,
-        dataflow_engine=request.dataflow_engine,
-        wz_engine=request.wz_engine,
-    )
+    run = make_run(workload, cache)
     findings = run.lint(request.ca, request.cr, request.min_mass)
     from ..checks.diagnostics import Diagnostics
 
@@ -658,9 +450,6 @@ def execute_lint(
         "kind": "lint",
         "workload": run.workload.name,
         "config": {
-            "engine": run.engine,
-            "dataflow_engine": run.dataflow_engine,
-            "wz_engine": run.wz_engine,
             "ca": request.ca,
             "cr": request.cr,
             "min_mass": request.min_mass,
@@ -698,10 +487,7 @@ def execute_diff(
         ca=request.ca,
         cr=request.cr,
         min_mass=request.min_mass,
-        engine=request.engine,
         check=request.check,
-        dataflow_engine=request.dataflow_engine,
-        wz_engine=request.wz_engine,
     )
     return {
         "schema": PAYLOAD_SCHEMA,
@@ -726,8 +512,6 @@ def execute_sweep(
         cache_dir=cache_dir,
         cr=request.cr,
         check=request.check,
-        dataflow_engine=request.dataflow_engine,
-        wz_engine=request.wz_engine,
     )
     workloads = request.workloads or WORKLOAD_NAMES
     ca_values = request.ca_values or CA_SWEEP
@@ -747,6 +531,8 @@ def execute_sweep(
 
 
 def comparable_payload(payload: Mapping) -> dict:
-    """The deterministic part of a payload: everything except wall-clock
-    ``timings`` — what daemon-vs-direct differential tests compare."""
-    return {k: v for k, v in payload.items() if k != "timings"}
+    """The deterministic part of a payload — what daemon-vs-direct
+    differential tests compare: everything except wall-clock ``timings``
+    and a sweep's ``cache`` summary, which depends on what the cache
+    already held."""
+    return {k: v for k, v in payload.items() if k not in ("timings", "cache")}

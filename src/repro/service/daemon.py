@@ -32,7 +32,8 @@ GET       ``/v1/jobs/<id>``  one job, including its result when done
 ========  =================  ==============================================
 
 Request/response bodies are JSON; errors are ``{"error": ...}`` with 400
-(bad request), 404 (unknown job/path), or 503 (shutting down).
+(bad request), 404 (unknown job/path), 413 (body over
+:data:`MAX_BODY_BYTES`), or 503 (shutting down).
 """
 
 from __future__ import annotations
@@ -69,9 +70,22 @@ Request = Union[AnalysisRequest, LintRequest, DiffRequest, SweepRequest]
 #: Job lifecycle states, in order.
 QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
 
+#: Largest request body the daemon reads.  Inline MiniC programs and their
+#: input arrays run to kilobytes; the cap keeps one request from making a
+#: handler thread buffer an arbitrary amount of memory.
+MAX_BODY_BYTES = 4 << 20
+
 
 class ServiceClosed(RuntimeError):
     """Raised by :meth:`AnalysisService.submit` once shutdown has begun."""
+
+
+class _UnreadBody(ValueError):
+    """A request body refused before it was read, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class Job:
@@ -158,7 +172,6 @@ class AnalysisService:
         ``coalesced`` is True when an identical request was already queued
         or running — the caller shares that job instead of a new one.
         """
-        request.validate_target()
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shutting down")
@@ -337,6 +350,8 @@ class ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -348,13 +363,21 @@ class ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise _UnreadBody(400, f"bad Content-Length {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _UnreadBody(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body (expected a JSON object)")
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack.
             raise ValueError(f"request body is not valid JSON: {exc}") from None
 
     # -- routes ------------------------------------------------------------
@@ -396,14 +419,17 @@ class ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             request = parse(self._read_json_body())
+        except _UnreadBody as exc:
+            # The unread body would be parsed as the next request on this
+            # connection, so it cannot be kept alive.
+            self.close_connection = True
+            self._error(exc.status, str(exc))
+            return
         except ValueError as exc:
             self._error(400, str(exc))
             return
         try:
             job, coalesced = self.service.submit(request)
-        except ValueError as exc:
-            self._error(400, str(exc))
-            return
         except ServiceClosed as exc:
             self._error(503, str(exc))
             return

@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..dataflow import solve
+from ..dataflow import engine_scope, solve, wz_engine_scope
 from ..dataflow.framework import SOLVER_STRATEGIES
 from ..dataflow.wegman_zadek import WZ_ENGINES
 from ..dataflow.graph_view import GraphView
@@ -106,6 +107,12 @@ class Instance:
 
     def config(self) -> dict:
         return asdict(self)
+
+    @contextmanager
+    def scopes(self):
+        """Run a block on this instance's dataflow and WZ engines."""
+        with engine_scope(self.dataflow_engine), wz_engine_scope(self.wz_engine):
+            yield
 
 
 #: The registered instance columns.  ``base`` is the production
@@ -274,7 +281,9 @@ def cell_key(workload: Workload, instance: Instance) -> str:
     from ..pipeline.cache import content_key
 
     # The tag versions the archived cell schema: bumping it retires every
-    # previously archived cell (v2 added the lint-parity stage).
+    # previously archived cell (v2 added the lint-parity stage).  Cell keys
+    # stay hashed under artifact-cache schema 2, so a cache schema bump
+    # does not orphan the archive.
     return content_key(
         "matrix-cell-v2",
         workload.source,
@@ -283,6 +292,7 @@ def cell_key(workload: Workload, instance: Instance) -> str:
         list(workload.ref_args),
         {k: list(v) for k, v in workload.ref_inputs.items()},
         instance.config(),
+        schema=2,
     )
 
 
@@ -354,17 +364,18 @@ def _lint_parity(run, instance: Instance) -> tuple[bool, list, int]:
     locations, messages, masses — everything) must be identical.
 
     Returns ``(parity, mismatches, finding_count)``."""
-    from ..analyze.runner import findings_under
+    from ..analyze.runner import compute_findings
 
     qualified = run.qualified(instance.ca, instance.cr)
-    generic = findings_under(
-        run.module, qualified, dataflow_engine="generic",
-        workload=run.workload.name,
-    )
-    compiled = findings_under(
-        run.module, qualified, dataflow_engine="compiled",
-        workload=run.workload.name,
-    )
+    findings = {}
+    for engine in ("generic", "compiled"):
+        # The qualified analyses are fixed inputs; only the analyzer's own
+        # solves re-run on each engine.
+        with engine_scope(engine):
+            findings[engine] = compute_findings(
+                run.module, qualified, workload=run.workload.name
+            )
+    generic, compiled = findings["generic"], findings["compiled"]
     if generic == compiled:
         return True, [], len(generic)
     mismatches = [
@@ -380,22 +391,20 @@ def run_cell(
     cache_dir: Optional[str] = None,
     archive_dir: Optional[str] = None,
 ) -> MatrixCell:
-    """Execute one matrix cell: pipeline, differentials, checks, archive."""
+    """Execute one matrix cell: pipeline, differentials, checks, archive.
+
+    The pipeline runs under the instance's engine scopes.  Qualified
+    artifacts do not key on engines, so with a shared ``cache_dir`` a cell
+    may load what another instance computed; its parity stages still solve
+    on both engines."""
     from ..pipeline.cached_run import make_run
 
     workload = resolve_target(target)
     key = cell_key(workload, instance)
     with get_tracer().span(
         "suite.cell", target=target, instance=instance.name
-    ):
-        run = make_run(
-            workload,
-            cache_dir,
-            engine=instance.engine,
-            check=True,
-            dataflow_engine=instance.dataflow_engine,
-            wz_engine=instance.wz_engine,
-        )
+    ), instance.scopes():
+        run = make_run(workload, cache_dir, engine=instance.engine, check=True)
         agg = run.aggregate_classification(instance.ca, instance.cr)
         orig, hpg, red = run.graph_sizes(instance.ca, instance.cr)
         interp_ok, interp_bad = _interp_parity(run, workload, instance)

@@ -300,6 +300,20 @@ class TestBaseline:
             assert fp in loaded
             assert loaded.justification(fp) == "known-good"
 
+    def test_committed_baseline_accepts_current_findings(self):
+        """Fingerprints must not move with the artifact-cache schema, or
+        the CI gate over ``baselines/lint.json`` reports every finding as
+        new."""
+        import pathlib
+
+        from repro.analyze import lint_target
+
+        path = pathlib.Path(__file__).parent.parent / "baselines" / "lint.json"
+        pairs = [("sieve", d) for d in lint_target("sieve")]
+        assert pairs
+        new, _ = partition(pairs, Baseline.load(path))
+        assert not new
+
     def test_render_text_marks_baselined(self, example_pairs):
         text = render_text(example_pairs, baseline_of(example_pairs, "ok"))
         assert "[baselined]" in text

@@ -247,6 +247,10 @@ class TestTrace:
         with pytest.raises(SystemExit):
             main(["trace", "gcc95"])
 
+    def test_trace_resolves_generated_targets(self, capsys):
+        assert main(["trace", "gen-small"]) == 0
+        assert "- workload.qualify" in capsys.readouterr().out
+
     def test_requires_workload_or_self_check(self):
         with pytest.raises(SystemExit):
             main(["trace"])
@@ -302,6 +306,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "# self-check OK" in err
 
+    def test_self_check_also_runs_the_dense_wz_engine(self, monkeypatch):
+        from repro.checks import runner
+        from repro.dataflow.wegman_zadek import get_default_wz_engine
+
+        seen = []
+        real = runner.check_program
+
+        def spy(*args, **kwargs):
+            seen.append(get_default_wz_engine())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "check_program", spy)
+        assert main(["check", "--self-check"]) == 0
+        assert seen == ["auto", "compiled"]
+
     def test_requires_target_or_self_check(self):
         with pytest.raises(SystemExit):
             main(["check"])
@@ -315,6 +334,17 @@ class TestCheck:
         assert main(["check", "compress95"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
+
+    def test_handwritten_target_clean(self, capsys):
+        assert main(["check", "sieve"]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+
+    def test_missing_file_is_one_line(self, tmp_path):
+        missing = str(tmp_path / "absent.mc")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", missing])
+        message = str(exc.value.code)
+        assert missing in message and "\n" not in message
 
     def test_program_file(self, prog, capsys):
         rc = main(
@@ -388,26 +418,26 @@ class TestCheck:
 
 
 class TestDataflowEngineFlag:
-    """``--dataflow-engine`` and ``--mem-spans`` plumbing."""
-
-    def test_report_shows_engine_row(self, capsys):
-        assert main(
-            ["report", "compress95", "--dataflow-engine", "generic"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "dataflow engine" in out
-        assert "generic" in out
+    """No verb takes an engine flag: engines follow the context scope
+    (``engine_scope``/``wz_engine_scope``).  Also ``--mem-spans``."""
 
     def test_trace_engine_choices_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["trace", "compress95", "--dataflow-engine", "simd"])
+        verbs = ("run", "report", "bench", "suite", "trace", "submit",
+                 "check", "lint", "diff")
+        for verb in verbs:
+            for flag in ("--engine", "--dataflow-engine", "--wz-engine"):
+                with pytest.raises(SystemExit) as exc:
+                    main([verb, "compress95", flag, "generic"])
+                assert exc.value.code == 2, (verb, flag)
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_check_runs_clean_on_both_engines(self, capsys):
+        from repro.dataflow import engine_scope, wz_engine_scope
+
         for engine in ("compiled", "generic"):
-            assert main(
-                ["check", "compress95", "--dataflow-engine", engine]
-            ) == 0
-            assert "FAIL" not in capsys.readouterr().err
+            with engine_scope(engine), wz_engine_scope(engine):
+                assert main(["check", "compress95"]) == 0
+            assert "0 error(s)" in capsys.readouterr().out
 
     def test_trace_mem_spans_annotates_every_span(self, tmp_path, capsys):
         trace = tmp_path / "mem.jsonl"

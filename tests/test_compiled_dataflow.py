@@ -25,7 +25,6 @@ from repro.dataflow import (
     GraphView,
     engine_scope,
     get_default_engine,
-    set_default_engine,
     solve,
 )
 from repro.dataflow.compiled import AUTO_MIN_VERTICES
@@ -292,7 +291,8 @@ def test_bad_engine_rejected(example_module):
     with pytest.raises(ValueError, match="bad dataflow engine"):
         solve(LiveVariables(), view, engine="simd")
     with pytest.raises(ValueError, match="bad dataflow engine"):
-        set_default_engine("simd")
+        with engine_scope("simd"):
+            pass
 
 
 def test_default_engine_scope(example_module):
@@ -308,11 +308,3 @@ def test_default_engine_scope(example_module):
         assert sol.stats.engine == "compiled"
     assert get_default_engine() == "auto"
 
-
-def test_set_default_engine_returns_previous():
-    prev = set_default_engine("generic")
-    try:
-        assert prev == "auto"
-        assert get_default_engine() == "generic"
-    finally:
-        set_default_engine(prev)

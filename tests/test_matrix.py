@@ -101,6 +101,13 @@ def test_cell_key_is_content_addressed():
     assert base != cell_key(resolve_target("gen-small"), INSTANCES["base"])
 
 
+def test_cell_key_outlives_cache_schema_bumps():
+    """Archived cells are found by key; the key is pinned so an artifact
+    cache schema bump cannot orphan an archive."""
+    key = cell_key(resolve_target("sieve"), INSTANCES["base"])
+    assert key == "cc26a060e1b4a99b961499e59ebe95afd46c0d895ac18d73c4f7a9f0a440d379"
+
+
 # -- phases -------------------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from repro.dataflow import (
     GraphView,
     analyze,
     get_default_wz_engine,
-    set_default_wz_engine,
     wz_engine_scope,
 )
 from repro.dataflow import wegman_zadek as wz
@@ -180,6 +179,9 @@ class TestEngineSelection:
         view = GraphView.from_function(straight_line())
         with pytest.raises(ValueError):
             analyze(view, engine="turbo")
+        with pytest.raises(ValueError):
+            with wz_engine_scope("turbo"):
+                pass
 
     def test_scope_sets_and_restores_default(self):
         assert get_default_wz_engine() == "auto"
@@ -188,10 +190,6 @@ class TestEngineSelection:
             assert get_default_wz_engine() == "compiled"
             assert analyze(view).engine == "compiled"
         assert get_default_wz_engine() == "auto"
-
-    def test_set_default_validates(self):
-        with pytest.raises(ValueError):
-            set_default_wz_engine("turbo")
 
 
 class TestLoweringCache:
