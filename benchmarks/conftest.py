@@ -24,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.evaluation import WorkloadRun
-from repro.pipeline import ArtifactCache, CachedWorkloadRun
+from repro.pipeline import ArtifactCache
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -41,14 +41,11 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def runs(request) -> dict[str, WorkloadRun]:
     """All seven profiled workloads (the expensive shared fixture)."""
-    cache_dir = request.config.getoption("--repro-cache-dir")
-    if cache_dir:
-        cache = ArtifactCache(cache_dir)
-        return {
-            name: CachedWorkloadRun(get_workload(name), cache)
-            for name in WORKLOAD_NAMES
-        }
-    return {name: WorkloadRun(get_workload(name)) for name in WORKLOAD_NAMES}
+    cache = ArtifactCache(request.config.getoption("--repro-cache-dir"))
+    return {
+        name: WorkloadRun(get_workload(name), cache=cache)
+        for name in WORKLOAD_NAMES
+    }
 
 
 @pytest.fixture(scope="session")

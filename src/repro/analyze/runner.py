@@ -79,15 +79,7 @@ def compute_function_findings(
     qualified = (
         {fn.name: qualified_analysis} if qualified_analysis is not None else {}
     )
-    out = Diagnostics()
-    ctx = CheckContext(
-        workload=workload,
-        stage="lint",
-        module=solo,
-        qualified=qualified,
-    )
-    run_passes((LintPass(), PathLintPass(min_mass)), ctx, out)
-    return rank(out.records)
+    return compute_findings(solo, qualified, min_mass, workload)
 
 
 def lint_program(
@@ -129,11 +121,11 @@ def lint_target(
     min_mass: float = DEFAULT_MIN_MASS,
 ) -> tuple[Diagnostic, ...]:
     """Analyze one registered/generated target by name (cacheable)."""
-    from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR
-    from ..pipeline.cached_run import make_run
+    from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, make_run
+    from ..pipeline.cache import ArtifactCache
     from ..workloads.matrix import resolve_target
 
-    run = make_run(resolve_target(name), cache_dir=cache_dir)
+    run = make_run(resolve_target(name), ArtifactCache(cache_dir))
     return run.lint(
         ca if ca is not None else DEFAULT_CA,
         cr if cr is not None else DEFAULT_CR,

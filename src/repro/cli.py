@@ -386,7 +386,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         render_trace_report,
         stream_trace_jsonl,
     )
-    from .pipeline.cached_run import make_run
+    from .pipeline import ArtifactCache, make_run
 
     name = args.workload
     if name is None:
@@ -402,7 +402,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             stack.enter_context(
                 stream_trace_jsonl(args.trace_out, tracer, registry)
             )
-        run = make_run(workload, args.cache_dir)
+        run = make_run(workload, ArtifactCache(args.cache_dir))
         run.aggregate_classification(args.ca, args.cr)
     print(render_trace_report(tracer, registry, top=args.top))
     if args.trace_out:
@@ -533,9 +533,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     def _run_checks():
         if workload is not None:
-            from .pipeline.cached_run import make_run
+            from .pipeline import ArtifactCache, make_run
 
-            run = make_run(workload, args.cache_dir, check=True)
+            run = make_run(workload, ArtifactCache(args.cache_dir), check=True)
             run.qualified(args.ca, args.cr)
             return run.checker.diagnostics
         from .checks.runner import check_program

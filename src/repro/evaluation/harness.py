@@ -3,8 +3,9 @@
 A :class:`Workload` is a MiniC program plus train and ref inputs (standing in
 for SPEC95's train/ref data sets).  A :class:`WorkloadRun` compiles it,
 profiles the train input, and lazily runs the qualified-analysis pipeline at
-requested coverages, caching everything so the coverage sweeps of Figures 9,
-11 and 12 don't recompute shared work.
+requested coverages, memoizing every step in an
+:class:`~repro.pipeline.cache.ArtifactCache` so the coverage sweeps of
+Figures 9, 11 and 12 don't recompute shared work.
 
 The harness also builds the two executables Table 2 compares:
 
@@ -19,11 +20,13 @@ costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from ..core.qualified import QualifiedAnalysis, run_qualified
 from ..obs import Span, Tracer, get_tracer
+from ..frontend.fingerprint import function_fingerprints, module_fingerprint
 from ..frontend.lower import compile_program
 from ..interp.interpreter import Interpreter, RunResult
 from ..ir.function import Module
@@ -32,7 +35,18 @@ from ..opt.codegen import fold_function, materialize, vertex_labels
 from ..opt.dce import eliminate_dead_code
 from ..opt.layout import edge_frequencies_from_labels, layout_function
 from ..opt.straighten import straighten
+from ..pipeline.cache import (
+    ArtifactCache,
+    KIND_LINT,
+    KIND_MODULE,
+    KIND_QUALIFIED,
+    KIND_REF_RUN,
+    KIND_TRAIN_RUN,
+    content_key,
+    data_digest,
+)
 from ..profiles.path_profile import PathProfile
+from ..profiles.serialize import fingerprint_profile
 from ..stats.classify import ConstantClassification, classify_constants
 
 #: The coverage levels swept by Figures 9, 11 and 12.
@@ -55,6 +69,17 @@ class Workload:
     ref_inputs: Mapping[str, Sequence[int]]
     description: str = ""
 
+    @cached_property
+    def train_digest(self) -> str:
+        """:func:`~repro.pipeline.cache.data_digest` of the train data set,
+        computed once per object."""
+        return data_digest(self.train_args, self.train_inputs)
+
+    @cached_property
+    def ref_digest(self) -> str:
+        """:func:`~repro.pipeline.cache.data_digest` of the ref data set."""
+        return data_digest(self.ref_args, self.ref_inputs)
+
 
 @dataclass
 class Table2Row:
@@ -73,13 +98,25 @@ class Table2Row:
 
 
 class WorkloadRun:
-    """Compiled, profiled workload with cached per-coverage pipelines.
+    """Compiled, profiled workload with memoized per-coverage pipelines.
 
-    The expensive steps — compilation, the train and ref profiling runs, and
-    the per-coverage qualified pipelines — are factored into overridable
-    methods so subclasses (notably
-    :class:`repro.pipeline.CachedWorkloadRun`) can memoize them across
-    processes and sessions without re-implementing any of the metrics below.
+    Every expensive step goes through the run's
+    :class:`~repro.pipeline.cache.ArtifactCache`: a private memory-only one
+    by default, or a shared (and optionally disk-backed) one passed as
+    ``cache``, which serves artifacts across runs, processes and sessions.
+    Keys hash content only (see ``docs/PIPELINE.md``):
+
+    * compiled module — the MiniC source text;
+    * train / ref profiling runs — the module's IR fingerprint plus the data
+      set's digest (:attr:`Workload.train_digest`), so a whitespace-only
+      edit recompiles (cheap) but does not re-profile;
+    * qualified pipelines and lint — **per function**: the function's IR
+      fingerprint, that routine's profile fingerprint, CA and CR (and the
+      lint's ``min_mass``), so an edit to ``f`` leaves ``g``'s artifacts
+      warm — what makes :mod:`repro.pipeline.incremental` cheap.
+
+    No engine enters a key: the differential suites prove every engine equal
+    to its oracle, so an artifact computed under any engine serves all.
     """
 
     def __init__(
@@ -88,11 +125,13 @@ class WorkloadRun:
         engine: str = "compiled",
         tracer: Optional[Tracer] = None,
         checker=None,
+        cache: Optional[ArtifactCache] = None,
     ) -> None:
         if engine not in ("reference", "compiled"):
             raise ValueError(f"bad engine {engine!r}")
         self.workload = workload
         self.engine = engine
+        self.cache = cache if cache is not None else ArtifactCache()
         # Self-verification hooks (null object when disabled; see
         # repro.checks.runner).  Imported lazily: the checks package must
         # stay importable from repro.ir, which this module imports.
@@ -110,18 +149,32 @@ class WorkloadRun:
             tr = Tracer()
         self.tracer = tr
         self._stage_spans: dict[str, Span] = {}
+        self._fn_fingerprints: Optional[dict[str, str]] = None
+        self._module_fingerprint: Optional[str] = None
+        self._profile_fingerprints: dict[str, str] = {}
 
         with tr.span("workload.compile", workload=workload.name) as span:
-            self.module: Module = self._compile_module()
+            self.module: Module = self._memo(
+                KIND_MODULE,
+                content_key("module", workload.source),
+                lambda: compile_program(workload.source),
+            )
             validate_module(self.module)
         self._stage_spans["compile"] = span
         if checker.enabled:
             checker.after_compile(workload.name, self.module)
 
+        train_key, ref_key = self.run_keys()
         with tr.span(
             "workload.train_run", workload=workload.name, engine=engine
         ) as span:
-            self.train: RunResult = self._run_train()
+            self.train: RunResult = self._memo(
+                KIND_TRAIN_RUN,
+                train_key,
+                lambda: Interpreter(
+                    self.module, profile_mode="bl", track_sites=False, engine=engine
+                ).run(workload.train_args, workload.train_inputs),
+            )
         span.set(instructions=self.train.instr_count)
         self._stage_spans["train_run"] = span
         if checker.enabled:
@@ -130,12 +183,20 @@ class WorkloadRun:
         with tr.span(
             "workload.ref_run", workload=workload.name, engine=engine
         ) as span:
-            self.ref: RunResult = self._run_ref()
+            self.ref: RunResult = self._memo(
+                KIND_REF_RUN,
+                ref_key,
+                lambda: Interpreter(
+                    self.module, profile_mode="bl", track_sites=True, engine=engine
+                ).run(workload.ref_args, workload.ref_inputs),
+            )
         span.set(instructions=self.ref.instr_count)
         self._stage_spans["ref_run"] = span
         if checker.enabled:
             checker.after_run(workload.name, "ref", self.module, self.ref)
 
+        # The run's view of the cache: each (CA, CR) is looked up once, so
+        # checker hooks fire once per run and metrics recompute no keys.
         self._qualified: dict[tuple[float, float], dict[str, QualifiedAnalysis]] = {}
         self._classified: dict[
             tuple[float, float], dict[str, ConstantClassification]
@@ -154,28 +215,73 @@ class WorkloadRun:
         """Seconds spent compiling the workload (alias of ``timings``)."""
         return self.timings["compile"]
 
-    # -- overridable pipeline steps ---------------------------------------
+    # -- memoization ------------------------------------------------------
 
-    def _compile_module(self) -> Module:
-        return compile_program(self.workload.source)
+    def _memo(self, kind: str, key: str, compute):
+        """One cache lookup, spanned so traces show where a stage's time
+        went (recompute vs. load) and whether it hit.  ``hit`` means this
+        lookup did not compute: a concurrent lookup's hit cannot mark it."""
+        computed = False
 
-    def _run_train(self) -> RunResult:
-        return Interpreter(
-            self.module, profile_mode="bl", track_sites=False, engine=self.engine
-        ).run(self.workload.train_args, self.workload.train_inputs)
+        def tracked():
+            nonlocal computed
+            computed = True
+            return compute()
 
-    def _run_ref(self) -> RunResult:
-        return Interpreter(
-            self.module, profile_mode="bl", track_sites=True, engine=self.engine
-        ).run(self.workload.ref_args, self.workload.ref_inputs)
+        with get_tracer().span("cache.memo", kind=kind) as span:
+            value = self.cache.memo(kind, key, tracked)
+        span.set(hit=not computed)
+        return value
 
-    def _compute_qualified(
-        self, ca: float, cr: float
-    ) -> dict[str, QualifiedAnalysis]:
-        return {
-            name: run_qualified(fn, self.train_profile(name), ca, cr)
-            for name, fn in self.module.functions.items()
-        }
+    def function_fingerprints(self) -> dict[str, str]:
+        """Per-function IR fingerprints of the compiled module, memoized."""
+        if self._fn_fingerprints is None:
+            self._fn_fingerprints = function_fingerprints(self.module)
+        return self._fn_fingerprints
+
+    def module_fingerprint(self) -> str:
+        """The whole-module IR fingerprint, memoized."""
+        if self._module_fingerprint is None:
+            self._module_fingerprint = module_fingerprint(self.module)
+        return self._module_fingerprint
+
+    def profile_fingerprint(self, fn_name: str) -> str:
+        """Content digest of one routine's training profile, memoized."""
+        if fn_name not in self._profile_fingerprints:
+            self._profile_fingerprints[fn_name] = fingerprint_profile(
+                self.train_profile(fn_name)
+            )
+        return self._profile_fingerprints[fn_name]
+
+    def run_keys(self) -> tuple[str, str]:
+        """Cache keys of the (train, ref) profiling runs."""
+        fp = self.module_fingerprint()
+        return (
+            content_key("train", fp, self.workload.train_digest),
+            content_key("ref", fp, self.workload.ref_digest),
+        )
+
+    def qualified_key(self, fn_name: str, ca: float, cr: float) -> str:
+        """Cache key of one function's qualified pipeline artifact."""
+        return content_key(
+            "qualified-fn",
+            self.function_fingerprints()[fn_name],
+            self.profile_fingerprint(fn_name),
+            ca,
+            cr,
+        )
+
+    def lint_key(self, fn_name: str, ca: float, cr: float, min_mass: float) -> str:
+        """Cache key of one function's ranked lint findings; the analyzer's
+        mass threshold is part of it, since findings depend on it."""
+        return content_key(
+            "lint-fn",
+            self.function_fingerprints()[fn_name],
+            self.profile_fingerprint(fn_name),
+            ca,
+            cr,
+            min_mass,
+        )
 
     # -- analysis ---------------------------------------------------------
 
@@ -192,15 +298,27 @@ class WorkloadRun:
     def qualified(
         self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
     ) -> dict[str, QualifiedAnalysis]:
-        """Per-routine pipeline results at the given coverage, cached."""
+        """Per-routine pipeline results at the given coverage, cached.
+
+        One artifact per function: each routine's pipeline depends only on
+        its own IR and its own training profile."""
         key = (ca, cr)
         if key not in self._qualified:
             with self.tracer.span(
                 "workload.qualify", workload=self.workload.name, ca=ca, cr=cr
             ):
-                self._qualified[key] = self._compute_qualified(ca, cr)
-            # Deliberately also covers subclass cache hits: a corrupted
-            # cached artifact fails its invariants just like a fresh one.
+                self._qualified[key] = {
+                    name: self._memo(
+                        KIND_QUALIFIED,
+                        self.qualified_key(name, ca, cr),
+                        lambda fn=fn, name=name: run_qualified(
+                            fn, self.train_profile(name), ca, cr
+                        ),
+                    )
+                    for name, fn in self.module.functions.items()
+                }
+            # Also covers cache hits: a corrupted cached artifact fails its
+            # invariants just like a fresh one.
             if self.checker.enabled:
                 self.checker.after_qualified(
                     self.workload.name, self._qualified[key]
@@ -215,10 +333,12 @@ class WorkloadRun:
     ) -> tuple:
         """Ranked analyzer findings (classic + path lints), cached.
 
-        Subclasses memoize through :meth:`_compute_lint`, whose cache key
-        must include the analyzer configuration (``min_mass`` alongside the
-        coverage parameters)."""
+        Both lint passes are function-local, so findings are cached per
+        function and the module result is the re-ranked concatenation —
+        identical to a whole-module lint because ``rank`` is a
+        deterministic total order over the same multiset."""
         from ..analyze.passes import DEFAULT_MIN_MASS
+        from ..analyze.runner import compute_function_findings, rank
 
         if min_mass is None:
             min_mass = DEFAULT_MIN_MASS
@@ -231,19 +351,20 @@ class WorkloadRun:
                 cr=cr,
                 min_mass=min_mass,
             ) as span:
-                self._lint[key] = self._compute_lint(ca, cr, min_mass)
+                qualified = self.qualified(ca, cr)
+                self._lint[key] = rank(
+                    finding
+                    for name, fn in self.module.functions.items()
+                    for finding in self._memo(
+                        KIND_LINT,
+                        self.lint_key(name, ca, cr, min_mass),
+                        lambda fn=fn, name=name: compute_function_findings(
+                            fn, qualified.get(name), min_mass, self.workload.name
+                        ),
+                    )
+                )
             span.set(findings=len(self._lint[key]))
         return self._lint[key]
-
-    def _compute_lint(self, ca: float, cr: float, min_mass: float) -> tuple:
-        from ..analyze.runner import compute_findings
-
-        return compute_findings(
-            self.module,
-            self.qualified(ca, cr),
-            min_mass,
-            workload=self.workload.name,
-        )
 
     def classification(
         self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
@@ -411,3 +532,20 @@ class WorkloadRun:
             base_cost=base_run.cost,
             optimized_cost=opt_run.cost,
         )
+
+
+def make_run(
+    workload: Workload,
+    cache: Optional[ArtifactCache] = None,
+    engine: str = "compiled",
+    check: bool = False,
+) -> WorkloadRun:
+    """A run over ``cache`` (a private memory-only one when ``None``).
+
+    With ``check=True`` a fresh :class:`~repro.checks.runner.PipelineChecker`
+    verifies every stage (including cached artifacts) as it completes.
+    """
+    from ..checks.runner import PipelineChecker
+
+    checker = PipelineChecker() if check else None
+    return WorkloadRun(workload, engine=engine, checker=checker, cache=cache)

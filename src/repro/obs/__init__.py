@@ -15,7 +15,7 @@ flag, a test, or an embedder turns observability on — most conveniently
 with :func:`capture`::
 
     with capture() as (tracer, registry):
-        run = make_run(workload, cache_dir)
+        run = make_run(workload, ArtifactCache(cache_dir))
         run.aggregate_classification(0.97, 0.95)
     print(render_trace_report(tracer, registry))
 """

@@ -10,6 +10,8 @@ edit touched and reports the differences.  See ``docs/PIPELINE.md`` and
 ``docs/INCREMENTAL.md``.
 """
 
+import importlib
+
 from .cache import (
     ArtifactCache,
     CacheStats,
@@ -24,29 +26,39 @@ from .cache import (
     KIND_TRAIN_RUN,
     SCHEMA_VERSION,
     content_key,
+    data_digest,
 )
-from .cached_run import (
-    CachedWorkloadRun,
-    lint_function_key,
-    make_run,
-    qualified_function_key,
-)
-from .driver import ParallelDriver, SweepCell, SweepResult, WorkloadSummary
-from .incremental import (
-    DIFF_SCHEMA,
-    IncrementalSession,
-    diff_workloads,
-    edited_workload,
-    render_diff_text,
-    seeded_edit,
-)
+
+#: Names whose modules import the evaluation harness.  The harness imports
+#: :mod:`.cache`, which runs this file first, so these load on first access
+#: instead: importing them here would re-enter a half-initialized harness.
+_LAZY = {
+    "make_run": "repro.evaluation.harness",
+    "ParallelDriver": "repro.pipeline.driver",
+    "SweepCell": "repro.pipeline.driver",
+    "SweepResult": "repro.pipeline.driver",
+    "WorkloadSummary": "repro.pipeline.driver",
+    "DIFF_SCHEMA": "repro.pipeline.incremental",
+    "IncrementalSession": "repro.pipeline.incremental",
+    "diff_workloads": "repro.pipeline.incremental",
+    "edited_workload": "repro.pipeline.incremental",
+    "render_diff_text": "repro.pipeline.incremental",
+    "seeded_edit": "repro.pipeline.incremental",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "CachedWorkloadRun",
     "COMPILE_PROFILE_KINDS",
     "content_key",
+    "data_digest",
     "DEFAULT_MEMORY_ENTRIES",
     "DIFF_SCHEMA",
     "diff_workloads",
@@ -59,10 +71,8 @@ __all__ = [
     "KIND_SWEEP_CELL",
     "KIND_SWEEP_SUMMARY",
     "KIND_TRAIN_RUN",
-    "lint_function_key",
     "make_run",
     "ParallelDriver",
-    "qualified_function_key",
     "render_diff_text",
     "SCHEMA_VERSION",
     "seeded_edit",

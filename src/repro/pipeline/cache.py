@@ -24,12 +24,14 @@ import json
 import math
 import os
 import pickle
+import sys
 import tempfile
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..obs import get_metrics, get_tracer
 
@@ -37,7 +39,9 @@ from ..obs import get_metrics, get_tracer
 #: v2: per-function qualified/lint artifacts, IR-fingerprint run keys, and
 #: tagged canonicalization of bytes / non-finite floats in ``content_key``.
 #: v3: engines left the qualified, lint and sweep-cell/summary keys.
-SCHEMA_VERSION = 3
+#: v4: train/ref-run and sweep keys take each data set's
+#: :func:`data_digest` instead of its canonicalized arrays.
+SCHEMA_VERSION = 4
 
 #: Artifact kinds the pipeline stores; each gets its own subdirectory and
 #: its own row in the hit/miss statistics.
@@ -67,8 +71,17 @@ def _canonical(part: Any) -> Any:
     both of which would silently produce keys that other JSON parsers (or
     future selves) disagree about.  Finite numbers, strings, and containers
     keep their plain canonical form, so existing keys are unaffected.
+
+    Exact built-in types are tested first: a part may hold thousands of
+    integers, and ``isinstance(part, Mapping)`` runs the ABC machinery for
+    each of them.
     """
-    if isinstance(part, Mapping):
+    kind = type(part)
+    if kind is int or kind is str or kind is bool or part is None:
+        return part
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in part]
+    if kind is dict or isinstance(part, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(part.items(), key=lambda kv: str(kv[0]))}
     if isinstance(part, (list, tuple)):
         return [_canonical(v) for v in part]
@@ -98,6 +111,40 @@ def content_key(*parts: Any, schema: Optional[int] = None) -> str:
                 allow_nan=False,
             ).encode()
         )
+    return h.hexdigest()
+
+
+def _digest_part(h, tag: bytes, body: bytes) -> None:
+    h.update(tag)
+    h.update(len(body).to_bytes(8, "little"))
+    h.update(body)
+
+
+def _int_part(values: Sequence[int]) -> tuple[bytes, bytes]:
+    try:
+        packed = array("q", values)
+    except OverflowError:
+        # A request may send any JSON integer: past int64, spell it out.
+        return b"D", ",".join(map(str, values)).encode()
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return b"Q", packed.tobytes()
+
+
+def data_digest(args: Sequence[int], inputs: Mapping[str, Sequence[int]]) -> str:
+    """SHA-256 of one data set: the arguments, then each input array in
+    sorted name order.
+
+    Every part is tagged and length-prefixed, so changing, moving or
+    splitting values and renaming an array all change the digest.  The
+    integers are packed as little-endian int64 bytes, which hashes a large
+    data set in microseconds where :func:`content_key` would walk every
+    integer in Python."""
+    h = hashlib.sha256()
+    _digest_part(h, *_int_part(args))
+    for name in sorted(inputs):
+        _digest_part(h, b"N", name.encode())
+        _digest_part(h, *_int_part(inputs[name]))
     return h.hexdigest()
 
 

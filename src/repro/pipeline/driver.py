@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..checks.diagnostics import Diagnostic, Diagnostics
-from ..evaluation.harness import CA_SWEEP, DEFAULT_CA, DEFAULT_CR, WorkloadRun
+from ..evaluation.harness import (
+    CA_SWEEP,
+    DEFAULT_CA,
+    DEFAULT_CR,
+    WorkloadRun,
+    make_run,
+)
 from ..evaluation.figures import render_series
 from ..evaluation.tables import format_table
 from ..obs import (
@@ -41,7 +47,8 @@ from ..obs import (
     set_metrics,
     set_tracer,
 )
-from ..workloads import WORKLOAD_NAMES, get_workload
+from ..workloads import WORKLOAD_NAMES
+from ..workloads.matrix import resolve_target
 from .cache import (
     ArtifactCache,
     CacheStats,
@@ -50,7 +57,6 @@ from .cache import (
     KIND_SWEEP_SUMMARY,
     content_key,
 )
-from .cached_run import make_run
 
 
 @dataclass(frozen=True)
@@ -241,8 +247,12 @@ def _obtain_run(
     key = (name, cache_dir, check)
     run = _RUN_TABLE.get(key)
     if run is None:
-        store = _obtain_cache(name, cache_dir) if incremental else cache_dir
-        run = make_run(get_workload(name), store, check=check)
+        store = (
+            _obtain_cache(name, cache_dir)
+            if incremental
+            else ArtifactCache(cache_dir)
+        )
+        run = make_run(resolve_target(name), store, check=check)
         _RUN_TABLE[key] = run
     return run
 
@@ -271,11 +281,6 @@ def _summary_from_run(
         base_cost=row.base_cost,
         optimized_cost=row.optimized_cost,
     )
-
-
-def _stats_of(run: WorkloadRun) -> CacheStats:
-    cache = getattr(run, "cache", None)
-    return cache.stats if isinstance(cache, ArtifactCache) else CacheStats()
 
 
 # -- worker-side observability ----------------------------------------------
@@ -368,7 +373,7 @@ def _workload_module_fp(name: str, cache: ArtifactCache) -> str:
     from ..frontend.fingerprint import module_fingerprint
     from ..frontend.lower import compile_program
 
-    w = get_workload(name)
+    w = resolve_target(name)
     module = cache.memo(
         KIND_MODULE,
         content_key("module", w.source),
@@ -378,13 +383,8 @@ def _workload_module_fp(name: str, cache: ArtifactCache) -> str:
 
 
 def _workload_data_part(name: str) -> list:
-    w = get_workload(name)
-    return [
-        list(w.train_args),
-        {k: list(v) for k, v in w.train_inputs.items()},
-        list(w.ref_args),
-        {k: list(v) for k, v in w.ref_inputs.items()},
-    ]
+    w = resolve_target(name)
+    return [w.train_digest, w.ref_digest]
 
 
 def _incremental_cell(
@@ -465,7 +465,7 @@ def _cell_job(
         else:
             run = _obtain_run(name, cache_dir, check)
             cell = _cell_from_run(run, ca, cr)
-            stats = _stats_of(run)
+            stats = run.cache.stats
     return (
         "cell",
         name,
@@ -506,7 +506,7 @@ def _summary_job(
                 lint_dicts = [
                     d.to_dict() for d in run.lint(default_ca, cr, min_mass)
                 ]
-            stats = _stats_of(run)
+            stats = run.cache.stats
     return (
         "summary",
         name,
@@ -693,7 +693,11 @@ class ParallelDriver:
             return
         for name in result.workloads:
             with get_tracer().span("driver.workload", workload=name):
-                run = make_run(get_workload(name), self.cache_dir, check=self.check)
+                run = make_run(
+                    resolve_target(name),
+                    ArtifactCache(self.cache_dir),
+                    check=self.check,
+                )
                 for ca in result.ca_values:
                     result.cells[(name, ca)] = _cell_from_run(run, ca, self.cr)
                 result.summaries[name] = _summary_from_run(
@@ -703,7 +707,7 @@ class ParallelDriver:
                     result.lint_findings[name] = tuple(
                         run.lint(self.default_ca, self.cr, self.min_mass)
                     )
-            result.cache_stats.merge(_stats_of(run))
+            result.cache_stats.merge(run.cache.stats)
             result.diagnostics.extend(run.checker.diagnostics)
 
     def _sweep_serial_incremental(self, result: SweepResult) -> None:

@@ -25,8 +25,9 @@ of what either cache already holds (the same contract ``/v1/lint``
 keeps).  Observed cache counters live under ``timings`` with the
 wall-clock numbers.
 
-The per-function granularity comes from :mod:`repro.pipeline.cached_run`:
-qualified and lint artifacts key on ``(function fingerprint, profile
+The per-function granularity comes from
+:class:`~repro.evaluation.harness.WorkloadRun`: qualified and lint
+artifacts key on ``(function fingerprint, profile
 fingerprint, CA, CR)``, so an edit to ``f`` leaves ``g``'s
 automata, hot-path graphs, and qualified dataflow warm — unless the edit
 changed ``g``'s *profile* (e.g. ``f`` now calls ``g`` differently), in
@@ -40,16 +41,16 @@ import time
 from typing import Mapping, Optional
 
 from ..checks.diagnostics import Diagnostic
-from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, Workload
+from ..evaluation.harness import (
+    DEFAULT_CA,
+    DEFAULT_CR,
+    Workload,
+    WorkloadRun,
+    make_run,
+)
 from ..frontend.fingerprint import changed_functions
 from ..obs import get_tracer
-from .cache import ArtifactCache, CacheStats, content_key
-from .cached_run import (
-    CachedWorkloadRun,
-    lint_function_key,
-    make_run,
-    qualified_function_key,
-)
+from .cache import ArtifactCache, CacheStats
 
 #: Version of the differential report payload (2: the engines left
 #: ``config``).
@@ -139,13 +140,13 @@ class IncrementalSession:
         self.cr = cr
         self.min_mass = DEFAULT_MIN_MASS if min_mass is None else min_mass
         self.check = check
-        self.old_run: Optional[CachedWorkloadRun] = None
-        self.new_run: Optional[CachedWorkloadRun] = None
+        self.old_run: Optional[WorkloadRun] = None
+        self.new_run: Optional[WorkloadRun] = None
         self._report: Optional[dict] = None
 
     # -- runs --------------------------------------------------------------
 
-    def _build_run(self, workload: Workload) -> CachedWorkloadRun:
+    def _build_run(self, workload: Workload) -> WorkloadRun:
         run = make_run(workload, self.cache, check=self.check)
         # Drive the full pipeline so checker hooks fire and artifacts land.
         run.qualified(self.ca, self.cr)
@@ -155,13 +156,11 @@ class IncrementalSession:
 
     # -- report sections ---------------------------------------------------
 
-    def _fn_keys(self, run: CachedWorkloadRun, name: str) -> tuple[str, str]:
+    def _fn_keys(self, run: WorkloadRun, name: str) -> tuple[str, str]:
         """(qualified key, lint key) of one function in one run."""
-        fp = run.function_fingerprints()[name]
-        pfp = run.profile_fingerprint(name)
         return (
-            qualified_function_key(fp, pfp, self.ca, self.cr),
-            lint_function_key(fp, pfp, self.ca, self.cr, self.min_mass),
+            run.qualified_key(name, self.ca, self.cr),
+            run.lint_key(name, self.ca, self.cr, self.min_mass),
         )
 
     def _ledger(self) -> dict:
@@ -173,38 +172,14 @@ class IncrementalSession:
         the ledger is comparable across daemon and CLI executions.
         """
         old, new = self.old_run, self.new_run
+        old_train, old_ref = old.run_keys()
+        new_train, new_ref = new.run_keys()
         stages = {
             "module": HIT
             if self.old_workload.source == self.new_workload.source
             else RECOMPUTE,
-            "train": HIT
-            if content_key(
-                "train",
-                old.module_fingerprint(),
-                list(self.old_workload.train_args),
-                {k: list(v) for k, v in self.old_workload.train_inputs.items()},
-            )
-            == content_key(
-                "train",
-                new.module_fingerprint(),
-                list(self.new_workload.train_args),
-                {k: list(v) for k, v in self.new_workload.train_inputs.items()},
-            )
-            else RECOMPUTE,
-            "ref": HIT
-            if content_key(
-                "ref",
-                old.module_fingerprint(),
-                list(self.old_workload.ref_args),
-                {k: list(v) for k, v in self.old_workload.ref_inputs.items()},
-            )
-            == content_key(
-                "ref",
-                new.module_fingerprint(),
-                list(self.new_workload.ref_args),
-                {k: list(v) for k, v in self.new_workload.ref_inputs.items()},
-            )
-            else RECOMPUTE,
+            "train": HIT if old_train == new_train else RECOMPUTE,
+            "ref": HIT if old_ref == new_ref else RECOMPUTE,
         }
         functions = {}
         old_names = set(old.module.functions)

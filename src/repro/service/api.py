@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, Workload, WorkloadRun
+from ..evaluation.harness import (
+    DEFAULT_CA,
+    DEFAULT_CR,
+    Workload,
+    WorkloadRun,
+    make_run,
+)
 from ..pipeline.cache import ArtifactCache, content_key
 
 #: Bump when the payload shape changes incompatibly (2: the engines left
@@ -422,8 +428,6 @@ def execute_request(
 ) -> dict:
     """Run the full pipeline for one request; the daemon's worker body and
     the direct-path oracle of the differential tests."""
-    from ..pipeline.cached_run import make_run
-
     workload = resolve_workload(request)
     run = make_run(workload, cache, check=request.check)
     return analysis_payload(run, request.ca, request.cr, table2=request.table2)
@@ -437,8 +441,6 @@ def execute_lint(
     Findings come back ranked exactly as ``repro lint`` prints them, so a
     daemon submission and the direct CLI agree bit-for-bit on everything
     outside ``timings``."""
-    from ..pipeline.cached_run import make_run
-
     workload = resolve_workload(request)
     run = make_run(workload, cache)
     findings = run.lint(request.ca, request.cr, request.min_mass)

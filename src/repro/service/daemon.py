@@ -91,10 +91,11 @@ class _UnreadBody(ValueError):
 class Job:
     """One submitted request and its (eventual) outcome."""
 
-    def __init__(self, job_id: str, request: Request) -> None:
+    def __init__(self, job_id: str, request: Request, fingerprint: str) -> None:
         self.id = job_id
         self.request = request
-        self.fingerprint = request.fingerprint()
+        #: ``request.fingerprint()``, the coalescing key.
+        self.fingerprint = fingerprint
         self.state = QUEUED
         #: How many *additional* identical submissions coalesced onto this
         #: job while it was queued or running.
@@ -172,10 +173,13 @@ class AnalysisService:
         ``coalesced`` is True when an identical request was already queued
         or running — the caller shares that job instead of a new one.
         """
+        # Hashed once and outside the lock, which workers also take to
+        # retire their jobs: an inline request's body can be large.
+        fingerprint = request.fingerprint()
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shutting down")
-            existing = self._active.get(request.fingerprint())
+            existing = self._active.get(fingerprint)
             if existing is not None:
                 existing.coalesced += 1
                 self.registry.counter(
@@ -183,7 +187,7 @@ class AnalysisService:
                 ).inc()
                 return existing, True
             self._next_id += 1
-            job = Job(f"job-{self._next_id}", request)
+            job = Job(f"job-{self._next_id}", request, fingerprint)
             self._jobs[job.id] = job
             self._active[job.fingerprint] = job
             self.registry.counter("service_requests", kind=request.kind).inc()

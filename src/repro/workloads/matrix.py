@@ -44,6 +44,8 @@ incremental across sessions.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -151,23 +153,39 @@ TARGET_NAMES: tuple[str, ...] = (
 )
 
 
+#: Bound on the workloads :func:`resolve_target` keeps.  Any client can
+#: send a ``gen:`` spec, so the memo must not grow with the distinct specs.
+RESOLVED_TARGETS = 64
+
+
+@functools.lru_cache(maxsize=RESOLVED_TARGETS)
 def resolve_target(name: str) -> Workload:
     """A target name — registered or ``gen:...`` — to its workload.
 
     Resolution happens by *name* so matrix jobs can ship a string into a
     worker process instead of pickling megabytes of program and input data.
+    Names are memoized (failed resolutions are not), so repeated requests
+    share one workload and hash its data once.  Every caller of a name gets
+    the same object, so it is read-only: the dataclass is frozen and its
+    input arrays are tuples.
     """
     if name in WORKLOAD_NAMES:
-        return get_workload(name)
-    if name in HANDWRITTEN_NAMES:
-        return get_handwritten(name)
-    if name in GEN_PRESETS:
-        return generated_workload(GEN_PRESETS[name], name)
-    if name.startswith("gen:"):
-        return generated_workload(parse_genspec(name))
-    raise KeyError(
-        f"unknown target {name!r}; choose from {TARGET_NAMES} "
-        f"or a gen:key=value,... spec"
+        workload = get_workload(name)
+    elif name in HANDWRITTEN_NAMES:
+        workload = get_handwritten(name)
+    elif name in GEN_PRESETS:
+        workload = generated_workload(GEN_PRESETS[name], name)
+    elif name.startswith("gen:"):
+        workload = generated_workload(parse_genspec(name))
+    else:
+        raise KeyError(
+            f"unknown target {name!r}; choose from {TARGET_NAMES} "
+            f"or a gen:key=value,... spec"
+        )
+    return dataclasses.replace(
+        workload,
+        train_inputs={k: tuple(v) for k, v in workload.train_inputs.items()},
+        ref_inputs={k: tuple(v) for k, v in workload.ref_inputs.items()},
     )
 
 
@@ -397,14 +415,17 @@ def run_cell(
     artifacts do not key on engines, so with a shared ``cache_dir`` a cell
     may load what another instance computed; its parity stages still solve
     on both engines."""
-    from ..pipeline.cached_run import make_run
+    from ..evaluation.harness import make_run
+    from ..pipeline.cache import ArtifactCache
 
     workload = resolve_target(target)
     key = cell_key(workload, instance)
     with get_tracer().span(
         "suite.cell", target=target, instance=instance.name
     ), instance.scopes():
-        run = make_run(workload, cache_dir, engine=instance.engine, check=True)
+        run = make_run(
+            workload, ArtifactCache(cache_dir), engine=instance.engine, check=True
+        )
         agg = run.aggregate_classification(instance.ca, instance.cr)
         orig, hpg, red = run.graph_sizes(instance.ca, instance.cr)
         interp_ok, interp_bad = _interp_parity(run, workload, instance)

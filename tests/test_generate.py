@@ -155,7 +155,7 @@ def test_presets_are_checks_clean(name):
 def test_gen_1k_is_at_scale_and_sharpens():
     """The acceptance-criteria program: >= 1000 CFG vertices, checks-clean,
     and qualified constant propagation strictly beats Wegman-Zadek."""
-    from repro.pipeline.cached_run import make_run
+    from repro.pipeline import make_run
 
     wl = generated_workload(GEN_PRESETS["gen-1k"], "gen-1k")
     module = compile_program(wl.source)

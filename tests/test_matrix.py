@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.pipeline import ParallelDriver
 from repro.workloads.matrix import (
     INSTANCES,
+    RESOLVED_TARGETS,
     TARGET_NAMES,
     Instance,
     MatrixCell,
@@ -43,6 +44,26 @@ def test_adhoc_genspec_target_resolves():
     wl = resolve_target("gen:seed=7,funcs=1,blocks=10,train=3,ref=4")
     assert wl.train_args == (3,)
     assert "func main" in wl.source
+
+
+def test_resolved_targets_are_shared_and_immutable():
+    """A name resolves to one workload, which every caller shares: its
+    input arrays are tuples, so one request cannot change what another is
+    analysing (``get_workload`` still builds fresh objects)."""
+    wl = resolve_target("go95")
+    assert resolve_target("go95") is wl
+    arrays = [*wl.train_inputs.values(), *wl.ref_inputs.values()]
+    assert arrays and all(type(a) is tuple for a in arrays)
+
+
+def test_resolver_memo_is_bounded_and_skips_failures():
+    resolve_target.cache_clear()
+    with pytest.raises(KeyError):
+        resolve_target("nonesuch")
+    assert resolve_target.cache_info().currsize == 0
+    for seed in range(RESOLVED_TARGETS + 5):
+        resolve_target(f"gen:seed={seed},funcs=1,blocks=10,train=3,ref=4")
+    assert resolve_target.cache_info().currsize == RESOLVED_TARGETS
 
 
 def test_unknown_target_and_instance_rejected():

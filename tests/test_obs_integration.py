@@ -2,7 +2,7 @@
 
 Three contracts:
 
-* a full :class:`CachedWorkloadRun` emits the expected stage-span tree
+* a full disk-cached :class:`WorkloadRun` emits the expected stage-span tree
   (harness stages, nested qualification phases, cache lookups);
 * the cache surfaces cold / warm / corrupt behavior through counters;
 * metrics merged from parallel worker processes equal the serial totals —
@@ -24,7 +24,7 @@ from repro.obs import (
     set_metrics,
     set_tracer,
 )
-from repro.pipeline import ArtifactCache, CachedWorkloadRun, ParallelDriver
+from repro.pipeline import ArtifactCache, ParallelDriver
 from repro.workloads import get_workload
 
 CA, CR = 0.97, 0.95
@@ -58,8 +58,8 @@ def _counter(snapshot, name, **labels):
 class TestStageSpanTree:
     def test_cached_run_emits_expected_tree(self, tmp_path):
         with capture() as (tracer, registry):
-            run = CachedWorkloadRun(
-                get_workload("compress95"), ArtifactCache(tmp_path)
+            run = WorkloadRun(
+                get_workload("compress95"), cache=ArtifactCache(tmp_path)
             )
             run.aggregate_classification(CA, CR)
 
@@ -122,7 +122,7 @@ class TestCacheCounters:
         workload = get_workload("compress95")
 
         with capture() as (_, registry):
-            CachedWorkloadRun(workload, ArtifactCache(tmp_path))
+            WorkloadRun(workload, cache=ArtifactCache(tmp_path))
         cold = registry.snapshot()
         for kind in ("module", "train-run", "ref-run"):
             assert _counter(cold, "cache_misses", kind=kind) == 1
@@ -130,7 +130,7 @@ class TestCacheCounters:
             assert _counter(cold, "cache_store_bytes", kind=kind) > 0
 
         with capture() as (_, registry):
-            CachedWorkloadRun(workload, ArtifactCache(tmp_path))
+            WorkloadRun(workload, cache=ArtifactCache(tmp_path))
         warm = registry.snapshot()
         for kind in ("module", "train-run", "ref-run"):
             assert _counter(warm, "cache_hits", kind=kind, level="disk") == 1
@@ -139,7 +139,7 @@ class TestCacheCounters:
         for pkl in (tmp_path / "module").glob("*.pkl"):
             pkl.write_bytes(b"not a pickle")
         with capture() as (tracer, registry):
-            CachedWorkloadRun(workload, ArtifactCache(tmp_path))
+            WorkloadRun(workload, cache=ArtifactCache(tmp_path))
         snap = registry.snapshot()
         assert _counter(snap, "cache_corrupt", kind="module") == 1
         assert _counter(snap, "cache_misses", kind="module") == 1

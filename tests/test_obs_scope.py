@@ -142,8 +142,7 @@ def test_workload_pipeline_lands_in_request_scope():
     """Real pipeline stages (not synthetic spans) respect the scope: a run
     executed inside a request records its stage spans and pipeline counters
     there, and they drain upward intact."""
-    from repro.pipeline import ArtifactCache
-    from repro.pipeline.cached_run import make_run
+    from repro.pipeline import ArtifactCache, make_run
     from repro.workloads.matrix import resolve_target
 
     with capture() as (global_tracer, global_registry):

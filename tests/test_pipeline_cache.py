@@ -10,17 +10,21 @@ compile+profile invocations than a cold one — is asserted directly.
 
 from __future__ import annotations
 
+import collections
 import pickle
+import threading
 
 import pytest
 
 from repro.dataflow import engine_scope, wz_engine_scope
 from repro.evaluation import CA_SWEEP, DEFAULT_CA, DEFAULT_CR, WorkloadRun
+from repro.obs import capture
 from repro.pipeline import (
     COMPILE_PROFILE_KINDS,
+    KIND_QUALIFIED,
     ArtifactCache,
-    CachedWorkloadRun,
     content_key,
+    data_digest,
     make_run,
 )
 from repro.workloads import get_workload
@@ -35,7 +39,7 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cold_run(cache_dir):
-    return CachedWorkloadRun(get_workload(WORKLOAD), ArtifactCache(cache_dir))
+    return WorkloadRun(get_workload(WORKLOAD), cache=ArtifactCache(cache_dir))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ def warm_run(cache_dir, cold_run):
     # the warm run starts, so the warm sweep can be fully cache-served.
     for ca in CA_SWEEP:
         cold_run.qualified(ca, DEFAULT_CR)
-    return CachedWorkloadRun(get_workload(WORKLOAD), ArtifactCache(cache_dir))
+    return WorkloadRun(get_workload(WORKLOAD), cache=ArtifactCache(cache_dir))
 
 
 def _qualified_projection(run: WorkloadRun, ca: float, cr: float):
@@ -179,10 +183,43 @@ def test_in_memory_cache_needs_no_directory():
     assert cache.memo("module", key, lambda: "w") == "v"
 
 
-def test_make_run_dispatches_on_cache_dir(tmp_path):
-    assert isinstance(make_run(get_workload(WORKLOAD)), WorkloadRun)
-    cached = make_run(get_workload(WORKLOAD), tmp_path)
-    assert isinstance(cached, CachedWorkloadRun)
+def test_make_run_always_owns_a_cache(tmp_path):
+    """Every run memoizes through an ArtifactCache: a private memory-only
+    one by default, else the one it is given."""
+    plain = make_run(get_workload(WORKLOAD))
+    assert plain.cache.root is None
+    assert plain.cache.stats.misses == {kind: 1 for kind in COMPILE_PROFILE_KINDS}
+    cache = ArtifactCache(tmp_path)
+    assert make_run(get_workload(WORKLOAD), cache).cache is cache
+
+
+def test_memo_span_hit_flag_is_per_lookup():
+    """A lookup that computes is a miss even when another thread takes a
+    memory hit of the same kind meanwhile: the span's ``hit`` comes from
+    whether this lookup's compute ran, not from the cache-wide counter."""
+    run = make_run(get_workload(WORKLOAD), ArtifactCache())
+    hot, cold = content_key("unit", "hot"), content_key("unit", "cold")
+    run._memo(KIND_QUALIFIED, hot, lambda: "hot")
+    entered, release = threading.Event(), threading.Event()
+
+    def slow():
+        entered.set()
+        assert release.wait(30)
+        return "cold"
+
+    with capture() as (tracer, _):
+        miss = threading.Thread(
+            target=run._memo, args=(KIND_QUALIFIED, cold, slow)
+        )
+        miss.start()
+        try:
+            assert entered.wait(30)
+            assert run._memo(KIND_QUALIFIED, hot, lambda: "recomputed") == "hot"
+        finally:
+            release.set()
+            miss.join(30)
+    flags = sorted(s.attrs["hit"] for s in tracer.spans() if s.name == "cache.memo")
+    assert flags == [False, True]
 
 
 def _solutions(qualified):
@@ -213,7 +250,7 @@ def test_oracle_artifacts_serve_the_default_engines(tmp_path):
     workload = get_workload(WORKLOAD)
     cache = ArtifactCache(tmp_path)
     with engine_scope("generic"), wz_engine_scope("generic"):
-        oracle = CachedWorkloadRun(workload, cache)
+        oracle = WorkloadRun(workload, cache=cache)
         oracle.lint(DEFAULT_CA, DEFAULT_CR)
     fn_count = len(oracle.module.functions)
     assert cache.stats.misses["qualified"] == fn_count
@@ -225,7 +262,7 @@ def test_oracle_artifacts_serve_the_default_engines(tmp_path):
     assert "compiled" in _wz_labels(fresh.qualified(DEFAULT_CA, DEFAULT_CR))
     for store in (cache, ArtifactCache(tmp_path)):  # memory, then disk
         before = store.stats_snapshot()
-        run = CachedWorkloadRun(workload, store)
+        run = WorkloadRun(workload, cache=store)
         findings = run.lint(DEFAULT_CA, DEFAULT_CR)
         delta = store.stats_snapshot().diff(before)
         for kind in ("qualified", "lint"):
@@ -297,11 +334,12 @@ def test_memory_entries_must_be_positive():
 
 
 def test_content_key_is_stable_across_processes():
-    """Cache keys are part of the on-disk contract: this digest is pinned
-    so a canonicalization change (which would orphan every cached
-    artifact) fails loudly instead of silently going cold.  The digest
-    covers ``SCHEMA_VERSION`` (3 here), so a deliberate bump re-pins it."""
-    key = content_key(
+    """Cache keys are part of the on-disk contract: these digests are
+    pinned so a canonicalization change (which would orphan every cached
+    artifact) fails loudly instead of silently going cold.  A digest covers
+    its schema version, so a deliberate ``SCHEMA_VERSION`` bump pins the
+    new digest beside the old ones, which must not move."""
+    parts = (
         "pin",
         float("nan"),
         float("inf"),
@@ -309,7 +347,14 @@ def test_content_key_is_stable_across_processes():
         b"\x00\xff",
         {"b": 2, "a": [1, True, None, 0.5]},
     )
-    assert key == "9c22d0d96aec925c27b9f944da7a3eb2d9629b7faacf04091a3fb4ecccb3e28f"
+    assert (
+        content_key(*parts, schema=3)
+        == "9c22d0d96aec925c27b9f944da7a3eb2d9629b7faacf04091a3fb4ecccb3e28f"
+    )
+    assert (
+        content_key(*parts)
+        == "3f40276442ceb8c02dcf1cc6baa4b47ed1e4ec9260724a5b71f9f7cbaa464f74"
+    )
 
 
 def test_content_key_distinguishes_lookalike_values():
@@ -322,3 +367,46 @@ def test_content_key_distinguishes_lookalike_values():
     assert content_key("k", b"\x01") != content_key("k", "01")
     # bool is not collapsed into int.
     assert content_key("k", True) != content_key("k", 1)
+    # Subclasses of the built-in containers encode like the containers.
+    pair = collections.namedtuple("pair", "x y")
+    assert content_key("k", pair(1, 2)) == content_key("k", [1, 2])
+    assert content_key("k", collections.OrderedDict(b=1, a=2)) == content_key(
+        "k", {"a": 2, "b": 1}
+    )
+
+
+# -- data digests -------------------------------------------------------------
+
+
+def test_data_digest_hashes_values_not_containers():
+    args, inputs = (3, 4), {"a": [1, 2, 3], "b": [5]}
+    digest = data_digest(args, inputs)
+    assert data_digest(list(args), {k: tuple(v) for k, v in inputs.items()}) == digest
+    changed = [
+        ((3, 4), {"a": [1, 2, 9], "b": [5]}),  # one element
+        ((3, 4), {"c": [1, 2, 3], "b": [5]}),  # an array renamed
+        ((3,), {"a": [4, 1, 2, 3], "b": [5]}),  # a value moved out of the args
+        ((3, 4), {"a": [1], "a2": [2, 3], "b": [5]}),  # an array split in two
+        ((3, 4), {"a": [1, 2, 3, 5]}),  # two arrays joined
+    ]
+    digests = {data_digest(a, i) for a, i in changed}
+    assert len(digests) == len(changed) and digest not in digests
+
+
+def test_data_digest_takes_any_integer():
+    """Request bodies may hold integers past int64; they digest through a
+    tagged decimal fallback instead of raising ``OverflowError``."""
+    big = data_digest((), {"a": [2**70]})
+    assert big != data_digest((), {"a": [2**70 + 1]})
+    assert big != data_digest((2**70,), {"a": []})
+    assert data_digest((), {"a": [-(2**63)]}) != data_digest((), {"a": [-(2**63) - 1]})
+
+
+def test_workload_digests_are_computed_once():
+    workload = get_workload(WORKLOAD)
+    assert workload.train_digest == data_digest(
+        workload.train_args, workload.train_inputs
+    )
+    assert workload.ref_digest == data_digest(workload.ref_args, workload.ref_inputs)
+    assert workload.train_digest != workload.ref_digest
+    assert {"train_digest", "ref_digest"} <= set(vars(workload))

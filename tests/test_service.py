@@ -19,16 +19,21 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE
+from repro.pipeline import ArtifactCache
+from repro.pipeline import cache as cache_mod
 from repro.service import (
     AnalysisRequest,
     AnalysisService,
+    LintRequest,
     ServiceClient,
     ServiceError,
     SweepRequest,
     comparable_payload,
+    execute_lint,
     execute_request,
     make_server,
 )
+from repro.service import api as api_mod
 from repro.service import daemon as daemon_mod
 
 TARGET = "gen-small"
@@ -319,6 +324,65 @@ def test_identical_inflight_submissions_coalesce(monkeypatch):
     finally:
         gate.set()
         service.shutdown()
+
+
+def test_submit_fingerprints_each_request_once(monkeypatch):
+    """``submit`` hashes a request once, before it takes the service lock,
+    and the new job reuses that fingerprint: one ``content_key`` call per
+    submission, coalesced or not."""
+    gate = threading.Event()
+    calls = []
+    real_key = api_mod.content_key
+
+    def counting_key(*parts, **kwargs):
+        calls.append(parts[0])
+        return real_key(*parts, **kwargs)
+
+    def gated(request, cache):
+        assert gate.wait(30)
+        return {}
+
+    monkeypatch.setattr(api_mod, "content_key", counting_key)
+    monkeypatch.setattr(daemon_mod, "execute_request", gated)
+    service = AnalysisService(jobs=1)
+    try:
+        first, _ = service.submit(_request(check=False))
+        second, coalesced = service.submit(_request(check=False))
+        assert second is first and coalesced
+        other, _ = service.submit(_request(check=True))
+        assert other is not first
+        assert calls == ["service-analyze"] * 3
+        assert first.fingerprint == real_key(
+            "service-analyze", _request(check=False).to_dict()
+        )
+    finally:
+        gate.set()
+        service.shutdown()
+
+
+def test_warm_requests_hash_keys_not_data(monkeypatch):
+    """On a primed cache, an analyze and a lint of go95 hash only small key
+    parts: the train and ref keys take the workload's data digests, which
+    are computed once per resolved workload, instead of every input
+    integer going through ``_canonical`` on every request."""
+    cache = ArtifactCache()
+    analyze, lint = AnalysisRequest(target="go95"), LintRequest(target="go95")
+    execute_request(analyze, cache)
+    execute_lint(lint, cache)
+    calls = 0
+    real = cache_mod._canonical
+
+    def counting(part):
+        nonlocal calls
+        calls += 1
+        return real(part)
+
+    monkeypatch.setattr(cache_mod, "_canonical", counting)
+    before = cache.stats_snapshot()
+    execute_request(analyze, cache)
+    execute_lint(lint, cache)
+    assert cache.stats_snapshot().diff(before).total_misses == 0
+    assert 0 < calls < 1000
 
 
 def test_shutdown_drains_queued_jobs(monkeypatch):
