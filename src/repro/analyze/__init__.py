@@ -32,8 +32,6 @@ from .runner import (
     compute_findings,
     compute_function_findings,
     lint_program,
-    lint_target,
-    pair_with_target,
     rank,
 )
 
@@ -49,8 +47,6 @@ __all__ = [
     "compute_function_findings",
     "finding_fingerprint",
     "lint_program",
-    "lint_target",
-    "pair_with_target",
     "partition",
     "path_lint_qualified",
     "rank",

@@ -10,7 +10,7 @@ daemon vs. CLI execution, which the baseline fingerprints rely on.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 from ..checks.diagnostics import Diagnostic, Diagnostics
 from ..checks.engine import CheckContext, run_passes
@@ -91,9 +91,10 @@ def lint_program(
     workload: str = "program",
     min_mass: float = DEFAULT_MIN_MASS,
 ) -> tuple[Diagnostic, ...]:
-    """Analyze an ad-hoc program: one profiled run, the qualified pipeline
-    per routine, then the full lint battery (the ``repro lint <file>``
-    path, mirroring :func:`repro.checks.runner.check_program`)."""
+    """Analyze an in-memory module: one profiled run, the qualified
+    pipeline per routine, then the full lint battery (how ``repro lint``
+    analyzes the IR-built ``running_example``, mirroring
+    :func:`repro.checks.runner.check_program`)."""
     from ..core.qualified import run_qualified
     from ..interp.interpreter import Interpreter
     from ..profiles.path_profile import PathProfile
@@ -113,55 +114,8 @@ def lint_program(
     return compute_findings(module, qualified, min_mass, workload)
 
 
-def lint_target(
-    name: str,
-    cache_dir: Optional[str] = None,
-    ca: Optional[float] = None,
-    cr: Optional[float] = None,
-    min_mass: float = DEFAULT_MIN_MASS,
-) -> tuple[Diagnostic, ...]:
-    """Analyze one registered/generated target by name (cacheable)."""
-    from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, make_run
-    from ..pipeline.cache import ArtifactCache
-    from ..workloads.matrix import resolve_target
-
-    run = make_run(resolve_target(name), ArtifactCache(cache_dir))
-    return run.lint(
-        ca if ca is not None else DEFAULT_CA,
-        cr if cr is not None else DEFAULT_CR,
-        min_mass,
-    )
-
-
-def _lint_target_job(
-    name: str,
-    cache_dir: Optional[str],
-    ca: Optional[float],
-    cr: Optional[float],
-    min_mass: float,
-) -> tuple[str, list[dict]]:
-    """Process-pool job: findings for one target, shipped as dicts."""
-    findings = lint_target(
-        name,
-        cache_dir=cache_dir,
-        ca=ca,
-        cr=cr,
-        min_mass=min_mass,
-    )
-    return name, [d.to_dict() for d in findings]
-
-
-def pair_with_target(
-    target: str, findings: Sequence[Diagnostic]
-) -> list[tuple[str, Diagnostic]]:
-    """The ``(target, finding)`` pairs the reporters consume."""
-    return [(target, d) for d in findings]
-
-
 __all__ = [
     "compute_findings",
     "lint_program",
-    "lint_target",
-    "pair_with_target",
     "rank",
 ]

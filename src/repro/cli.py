@@ -9,9 +9,16 @@ analyzes and optimizes) as subcommands::
     python -m repro optimize prog.mc --profile prog.prof --ca 0.97 --cr 0.95
     python -m repro dot      prog.mc --function work --profile prog.prof
     python -m repro report   m88ksim95
+    python -m repro lint     sieve prog.mc --args 10 --jobs 2
     python -m repro bench    --jobs 4 --cache-dir .repro-cache --out results/
     python -m repro serve    --port 8321 --jobs 4 --cache-dir .repro-cache
     python -m repro submit   gen-small --url http://127.0.0.1:8321
+
+The analysis verbs (``report``, ``check``, ``trace``, ``lint``, ``diff``,
+``submit``) resolve their target once into request fields
+(:func:`_program`), build the request kind the daemon takes, and run it
+through that kind's ``execute_*`` executor — or post it to a daemon — so
+the CLI and ``repro serve`` agree by construction.
 
 All subcommands are pure functions of their inputs, so they are unit-tested
 by invoking :func:`main` directly.
@@ -20,12 +27,14 @@ by invoking :func:`main` directly.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Optional, Sequence
 
 from .core import run_qualified
-from .frontend import compile_program
+from .frontend import MiniCError, compile_program
 from .interp import Interpreter
 from .ir import validate_module
 from .ir.dot import cfg_to_dot, traced_to_dot
@@ -34,18 +43,17 @@ from .profiles.serialize import dumps_profiles, loads_profiles
 
 
 @contextmanager
-def _trace_capture(args: argparse.Namespace):
-    """Honor ``--trace-out`` and ``--mem-spans``: run the command body under
-    enabled observability globals, streaming each span to the JSONL file as
-    it closes (so a live sweep can be tailed) and, when asked, annotating
-    spans with their tracemalloc peak."""
+def _capture(args: argparse.Namespace, always: bool = False):
+    """Run a verb's body under observability capture when ``always`` or when
+    ``--trace-out``/``--mem-spans`` ask for it, yielding the capturing
+    tracer and registry (``None, None`` without capture).  Spans stream to
+    the ``--trace-out`` JSONL file as they close (so a live sweep can be
+    tailed), and ``--mem-spans`` annotates each with its tracemalloc peak."""
     trace_out = getattr(args, "trace_out", None)
     mem_spans = getattr(args, "mem_spans", False)
-    if not trace_out and not mem_spans:
-        yield
+    if not (always or trace_out or mem_spans):
+        yield None, None
         return
-    from contextlib import ExitStack
-
     from .obs import capture, memory_sampling, stream_trace_jsonl
 
     with ExitStack() as stack:
@@ -54,62 +62,136 @@ def _trace_capture(args: argparse.Namespace):
             stack.enter_context(memory_sampling())
         if trace_out:
             stack.enter_context(stream_trace_jsonl(trace_out, tracer, registry))
-        yield
+        yield tracer, registry
     if trace_out:
         print(f"# trace written to {trace_out}", file=sys.stderr)
 
 
-def _parse_inputs(pairs: Sequence[str]) -> dict[str, list[int]]:
+def _parse_inputs(args: argparse.Namespace) -> dict[str, list[int]]:
+    """The verb's ``--input NAME=V1,V2`` arrays (none without the option)."""
     inputs: dict[str, list[int]] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--input expects name=v1,v2,...; got {pair!r}")
-        name, _, values = pair.partition("=")
-        inputs[name] = [int(v) for v in values.split(",") if v != ""]
+    for pair in getattr(args, "input", ()):
+        name, sep, values = pair.partition("=")
+        try:
+            inputs[name] = [int(v) for v in values.split(",") if v != ""]
+        except ValueError:
+            sep = ""
+        if not sep:
+            raise SystemExit(
+                f"repro {args.command}: --input expects name=v1,v2,...; "
+                f"got {pair!r}"
+            )
     return inputs
 
 
-def _load_module(path: str):
-    with open(path) as f:
-        module = compile_program(f.read())
+def _read(args: argparse.Namespace, path: str) -> str:
+    """The text of a file the verb was given; an unreadable one ends the
+    verb with one line naming it."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise SystemExit(f"repro {args.command}: {path}: {exc.strerror}")
+
+
+def _checked(args: argparse.Namespace, parse, /, *values, **fields):
+    """``parse(*values, **fields)`` — a request class, a target check, or
+    an analysis of the running example — with the ``ValueError`` it raises
+    on malformed input ending the verb in one line."""
+    try:
+        return parse(*values, **fields)
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
+
+
+def _program(args: argparse.Namespace, target: str) -> dict:
+    """The request fields naming ``target``: a target name as itself,
+    anything else a MiniC file run on the verb's ``--args``/``--input``."""
+    from .workloads.matrix import is_target
+
+    if is_target(target):
+        return {"target": target}
+    return {
+        "source": _read(args, target),
+        "name": target,
+        "args": tuple(getattr(args, "args", ())),
+        "inputs": _parse_inputs(args),
+    }
+
+
+def _on_running_example(args: argparse.Namespace, analyze, **fields):
+    """``analyze`` (``check_program`` or ``lint_program``) over the paper's
+    running example, which is built in IR — keeping Figure 1's block
+    labels — and so cannot be a MiniC request."""
+    from .workloads.running_example import (
+        running_example_module,
+        training_run_inputs,
+    )
+
+    n, inputs = training_run_inputs()
+    return _checked(
+        args,
+        analyze,
+        running_example_module(),
+        [n],
+        inputs,
+        ca=args.ca,
+        cr=args.cr,
+        workload="running_example",
+        **fields,
+    )
+
+
+def _load_module(args: argparse.Namespace, path: str):
+    module = compile_program(_read(args, path))
     validate_module(module)
     return module
 
 
-def _resolve_workload(target: str, args: argparse.Namespace):
-    """A named target (registered, preset or ``gen:`` spec), else a MiniC
-    file run on the verb's ``--args``/``--input`` where it has them."""
-    from .evaluation import Workload
-    from .workloads.matrix import resolve_target
+def _print_checks(payload: dict) -> int:
+    """An analysis payload's checker findings, on stderr; returns the exit
+    code (2 when they include errors)."""
+    from .checks.diagnostics import Diagnostics
 
-    try:
-        return resolve_target(target)
-    except KeyError:
-        pass
-    except ValueError as exc:  # a malformed gen: spec
-        raise SystemExit(f"{args.command}: {exc}")
-    try:
-        with open(target) as f:
-            source = f.read()
-    except OSError as exc:
-        raise SystemExit(
-            f"{args.command}: {target!r} is neither a target (see 'repro "
-            f"suite --list') nor a readable file: {exc.strerror}"
-        )
-    prog_args = tuple(getattr(args, "args", ()))
-    inputs = _parse_inputs(getattr(args, "input", ()))
-    return Workload(
-        name=target,
-        source=source,
-        train_args=prog_args,
-        train_inputs=inputs,
-        ref_args=prog_args,
-        ref_inputs=inputs,
-    )
+    diagnostics = payload["diagnostics"]
+    if diagnostics is None:
+        return 0
+    print(f"# checks: {diagnostics['summary']}", file=sys.stderr)
+    for d in Diagnostics.from_dicts(diagnostics["records"]):
+        print(f"#   {d.format()}", file=sys.stderr)
+    return 2 if diagnostics["has_errors"] else 0
+
+
+def _print_analysis(target: str, payload: dict) -> int:
+    """An analysis payload as ``report`` and ``submit`` print it (the
+    Table-2 rows when it has them); returns :func:`_print_checks`' code."""
+    from .evaluation import format_table
+
+    summary, config = payload["summary"], payload["config"]
+    sizes, sharp = summary["graph_sizes"], summary["sharpening"]
+    rows = [
+        ["CFG nodes", summary["cfg_nodes"]],
+        ["executed paths (train)", summary["executed_paths"]],
+        [f"hot paths (CA={config['ca']})", summary["hot_paths"]],
+        ["traced vertices", sizes["traced"]],
+        ["reduced vertices", sizes["reduced"]],
+        ["WZ non-local constants", sharp["iterative_nonlocal"]],
+        ["qualified non-local constants", sharp["qualified_nonlocal"]],
+    ]
+    table2 = summary.get("table2")
+    if table2 is not None:
+        rows += [
+            ["base cost", table2["base_cost"]],
+            ["optimized cost", table2["optimized_cost"]],
+            ["speedup", f"{table2['speedup']:.3f}x"],
+        ]
+    title = f"{target} @ CA={config['ca']}, CR={config['cr']}"
+    print(format_table(["metric", "value"], rows, title=title))
+    return _print_checks(payload)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    module = _load_module(args.file)
+    module = _load_module(args, args.file)
     text = str(module) + "\n"
     if args.output:
         with open(args.output, "w") as f:
@@ -120,10 +202,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _trace_capture(args):
-        module = _load_module(args.file)
+    with _capture(args):
+        module = _load_module(args, args.file)
         interp = Interpreter(module, profile_mode="bl", engine="compiled")
-        result = interp.run(args.args, _parse_inputs(args.input))
+        result = interp.run(args.args, _parse_inputs(args))
     for values in result.output:
         print(" ".join(str(v) for v in values))
     print(f"# return value : {result.return_value}", file=sys.stderr)
@@ -147,10 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    module = _load_module(args.file)
-    with open(args.profile) as f:
-        profiles = loads_profiles(f.read())
-
+    module = _load_module(args, args.file)
+    profiles = loads_profiles(_read(args, args.profile))
     optimized, reports = optimize_module(
         module, profiles, ca=args.ca, cr=args.cr
     )
@@ -172,14 +252,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_dot(args: argparse.Namespace) -> int:
     from .ir import Cfg
 
-    module = _load_module(args.file)
+    module = _load_module(args, args.file)
     fn = module.functions.get(args.function)
     if fn is None:
         raise SystemExit(f"no function {args.function!r} in {args.file}")
     if args.profile:
-        with open(args.profile) as f:
-            profiles = loads_profiles(f.read())
-        profile = profiles.get(args.function)
+        profile = loads_profiles(_read(args, args.profile)).get(args.function)
         if profile is None:
             raise SystemExit(f"profile has no routine {args.function!r}")
         qa = run_qualified(fn, profile, ca=args.ca, cr=args.cr)
@@ -199,87 +277,57 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .evaluation import WorkloadRun, format_table
     from .obs import render_span_tree
+    from .service.api import AnalysisRequest, execute_request
 
-    workload = _resolve_workload(args.workload, args)
-    checker = None
-    if args.check:
-        from .checks.runner import PipelineChecker
-
-        checker = PipelineChecker()
-    with _trace_capture(args):
-        run = WorkloadRun(workload, checker=checker)
-        agg = run.aggregate_classification(args.ca, args.cr)
-        orig, hpg, red = run.graph_sizes(args.ca, args.cr)
-        row = run.table2(args.ca, args.cr)
-    rows = [
-        ["CFG nodes", run.cfg_nodes],
-        ["executed paths (train)", run.executed_paths],
-        [f"hot paths (CA={args.ca})", run.hot_path_count(args.ca)],
-        ["traced vertices", hpg],
-        ["reduced vertices", red],
-        ["WZ non-local constants", agg.iterative_nonlocal],
-        ["qualified non-local constants", agg.qualified_nonlocal],
-        ["base cost", row.base_cost],
-        ["optimized cost", row.optimized_cost],
-        ["speedup", f"{row.speedup:.3f}x"],
-    ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"{args.workload} @ CA={args.ca}, CR={args.cr}",
-        )
+    request = _checked(
+        args,
+        AnalysisRequest,
+        **_program(args, args.target),
+        ca=args.ca,
+        cr=args.cr,
+        check=args.check,
+        table2=True,
     )
-    # Stage timings come from the run's spans now, rendered by the shared
-    # exporter rather than ad-hoc rows.
+    with _capture(args, always=True) as (tracer, _):
+        payload = execute_request(request)
+    code = _print_analysis(args.target, payload)
     print()
     print("stage spans:")
-    print(render_span_tree(run.tracer.spans(), top=3))
-    if checker is not None:
-        print(f"# checks: {checker.diagnostics.summary()}", file=sys.stderr)
-        for d in checker.diagnostics:
-            print(f"#   {d.format()}", file=sys.stderr)
-        if checker.diagnostics.has_errors:
-            return 2
-    return 0
+    # The capture records every span; the summary shows the run's stages.
+    stages = [s for s in tracer.spans() if s.name.startswith("workload.")]
+    print(render_span_tree(stages, top=3))
+    return code
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .evaluation.harness import CA_SWEEP
     from .pipeline import ParallelDriver
+    from .service.api import SweepRequest
     from .workloads import WORKLOAD_NAMES
 
-    workloads = tuple(args.workloads) if args.workloads else WORKLOAD_NAMES
-    unknown = [w for w in workloads if w not in WORKLOAD_NAMES]
-    if unknown:
-        raise SystemExit(
-            f"unknown workload(s) {unknown}; choose from {WORKLOAD_NAMES}"
-        )
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.cache_dir:
-        import os
-
-        if os.path.exists(args.cache_dir) and not os.path.isdir(args.cache_dir):
-            raise SystemExit(f"--cache-dir {args.cache_dir!r} is not a directory")
-    ca_values = tuple(args.ca) if args.ca else None
-    driver = ParallelDriver(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
+    request = _checked(
+        args,
+        SweepRequest,
+        workloads=tuple(args.workloads or ()),
+        ca_values=tuple(args.ca or ()),
         cr=args.cr,
+        jobs=args.jobs,
         check=args.check,
+    )
+    driver = ParallelDriver(
+        jobs=request.jobs,
+        cache_dir=args.cache_dir,
+        cr=request.cr,
+        check=request.check,
         incremental=args.incremental,
     )
-    with _trace_capture(args):
-        if ca_values is None:
-            result = driver.sweep(workloads)
-        else:
-            result = driver.sweep(workloads, ca_values)
+    with _capture(args):
+        result = driver.sweep(
+            request.workloads or WORKLOAD_NAMES, request.ca_values or CA_SWEEP
+        )
     artifacts = result.artifacts()
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         for name, text in artifacts.items():
             path = os.path.join(args.out, f"{name}.txt")
@@ -308,9 +356,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
         INSTANCES,
         TARGET_NAMES,
         build_targets,
+        check_target,
         load_archived,
         resolve_instances,
-        resolve_target,
     )
 
     if args.list:
@@ -321,18 +369,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
     targets = tuple(args.targets) if args.targets else ("sieve", "gen-small")
     instance_names = tuple(args.instances) if args.instances else ("base", "reference")
     for name in targets:
-        try:
-            resolve_target(name)
-        except KeyError as exc:
-            raise SystemExit(str(exc))
+        _checked(args, check_target, name)
     try:
         instances = resolve_instances(instance_names)
     except KeyError as exc:
         raise SystemExit(str(exc))
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
 
-    with _trace_capture(args):
+    with _capture(args):
         if args.phase in ("build", "all"):
             print(build_targets(targets))
             print()
@@ -350,8 +393,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
             result = driver.suite(targets, instance_names, archive_dir=args.archive)
     report = result.report()
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "suite.txt")
         with open(path, "w") as f:
@@ -378,35 +419,26 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from contextlib import ExitStack
+    from .obs import render_trace_report
+    from .pipeline import ArtifactCache
+    from .service.api import AnalysisRequest, execute_request
 
-    from .obs import (
-        capture,
-        memory_sampling,
-        render_trace_report,
-        stream_trace_jsonl,
-    )
-    from .pipeline import ArtifactCache, make_run
-
-    name = args.workload
-    if name is None:
+    target = args.target
+    if target is None:
         if not args.self_check:
             raise SystemExit("trace: give a workload name (or --self-check)")
-        name = "compress95"
-    workload = _resolve_workload(name, args)
-    with ExitStack() as stack:
-        tracer, registry = stack.enter_context(capture())
-        if args.mem_spans:
-            stack.enter_context(memory_sampling())
-        if args.trace_out:
-            stack.enter_context(
-                stream_trace_jsonl(args.trace_out, tracer, registry)
-            )
-        run = make_run(workload, ArtifactCache(args.cache_dir))
-        run.aggregate_classification(args.ca, args.cr)
+        target = "compress95"
+    request = _checked(
+        args,
+        AnalysisRequest,
+        **_program(args, target),
+        ca=args.ca,
+        cr=args.cr,
+        check=False,
+    )
+    with _capture(args, always=True) as (tracer, registry):
+        execute_request(request, ArtifactCache(args.cache_dir))
     print(render_trace_report(tracer, registry, top=args.top))
-    if args.trace_out:
-        print(f"# trace written to {args.trace_out}", file=sys.stderr)
     if args.self_check:
         required = {
             "workload.compile",
@@ -521,172 +553,106 @@ def _aggregate_span_timings(spans) -> dict[str, float]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    import json
+    from .checks.diagnostics import Diagnostics
+    from .pipeline import ArtifactCache
+    from .service.api import AnalysisRequest, execute_request
 
     if args.self_check:
         return _check_self_check()
     if not args.target:
         raise SystemExit("check: give a target name, a .mc file, or --self-check")
-    workload = None
+    request = None
     if args.target != "running_example":
-        workload = _resolve_workload(args.target, args)
-
-    def _run_checks():
-        if workload is not None:
-            from .pipeline import ArtifactCache, make_run
-
-            run = make_run(workload, ArtifactCache(args.cache_dir), check=True)
-            run.qualified(args.ca, args.cr)
-            return run.checker.diagnostics
-        from .checks.runner import check_program
-        from .workloads.running_example import (
-            running_example_module,
-            training_run_inputs,
-        )
-
-        n, inputs = training_run_inputs()
-        return check_program(
-            running_example_module(),
-            [n],
-            inputs,
+        request = _checked(
+            args,
+            AnalysisRequest,
+            **_program(args, args.target),
             ca=args.ca,
             cr=args.cr,
-            workload="running_example",
         )
-
-    timings: Optional[dict[str, float]] = None
-    with _trace_capture(args):
-        if args.json:
-            # Per-pass wall times ride along in the JSON payload; spans are
-            # captured locally unless --trace-out already enabled them.
-            from .obs import capture, get_tracer
-
-            ambient = get_tracer()
-            if ambient.enabled:
-                before = len(ambient.spans())
-                diags = _run_checks()
-                timings = _aggregate_span_timings(ambient.spans()[before:])
-            else:
-                with capture() as (tracer, _registry):
-                    diags = _run_checks()
-                timings = _aggregate_span_timings(tracer.spans())
+    # Per-pass wall times ride along in the JSON payload.
+    with _capture(args, always=args.json) as (tracer, _):
+        if request is not None:
+            payload = execute_request(request, ArtifactCache(args.cache_dir))
+            diags = Diagnostics.from_dicts(payload["diagnostics"]["records"])
         else:
-            diags = _run_checks()
+            from .checks.runner import check_program
+
+            diags = _on_running_example(args, check_program)
     if args.json:
-        payload = {
+        report = {
             "diagnostics": diags.to_dicts(),
             "counts": diags.counts(),
-            "timings": timings,
+            "timings": _aggregate_span_timings(tracer.spans()),
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report, indent=2))
     else:
         print(diags.render_text())
     return diags.exit_code(args.fail_on)
 
 
-def _is_named_lint_target(name: str) -> bool:
-    from .workloads import HANDWRITTEN_NAMES, WORKLOAD_NAMES
-    from .workloads.generate import GEN_PRESETS
+def _lint_job(request, cache_dir: Optional[str]) -> list[dict]:
+    """One lint request's findings (module level, so ``--jobs`` can map it
+    over a process pool)."""
+    from .pipeline import ArtifactCache
+    from .service.api import execute_lint
 
-    return (
-        name in WORKLOAD_NAMES
-        or name in HANDWRITTEN_NAMES
-        or name in GEN_PRESETS
-        or name.startswith("gen:")
-    )
+    return execute_lint(request, ArtifactCache(cache_dir))["findings"]
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json
-    import os
+    from concurrent.futures import ProcessPoolExecutor
+    from itertools import repeat
 
     from .analyze import (
         Baseline,
-        baseline_of,
         finding_fingerprint,
         lint_program,
-        lint_target,
         partition,
         render_text,
         to_json_payload,
         write_sarif,
     )
-    from .analyze.runner import _lint_target_job
     from .checks.diagnostics import Diagnostic, Diagnostics
+    from .service.api import LintRequest
     from .workloads import WORKLOAD_NAMES
 
     targets = list(args.targets) if args.targets else list(WORKLOAD_NAMES)
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.update_baseline and not args.baseline:
         raise SystemExit("lint: --update-baseline requires --baseline FILE")
-
-    named = [t for t in targets if _is_named_lint_target(t)]
-    results: dict[str, list] = {}
-    with _trace_capture(args):
-        if args.jobs > 1 and len(named) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _lint_target_job,
-                        t,
-                        args.cache_dir,
-                        args.ca,
-                        args.cr,
-                        args.min_mass,
-                    )
-                    for t in named
-                ]
-                for future in futures:
-                    name, dicts = future.result()
-                    results[name] = [Diagnostic.from_dict(d) for d in dicts]
-        else:
-            for t in named:
-                results[t] = list(
-                    lint_target(
-                        t,
-                        cache_dir=args.cache_dir,
-                        ca=args.ca,
-                        cr=args.cr,
-                        min_mass=args.min_mass,
-                    )
-                )
-        for t in targets:
-            if t in results:
-                continue
-            if t == "running_example":
-                from .workloads.running_example import (
-                    running_example_module,
-                    training_run_inputs,
-                )
-
-                n, inputs = training_run_inputs()
-                module, prog_args, prog_inputs = (
-                    running_example_module(),
-                    [n],
-                    inputs,
-                )
-            else:
-                with open(t) as f:
-                    module = compile_program(f.read())
-                prog_args, prog_inputs = args.args, _parse_inputs(args.input)
-            results[t] = list(
-                lint_program(
-                    module,
-                    prog_args,
-                    prog_inputs,
-                    ca=args.ca,
-                    cr=args.cr,
-                    workload=t,
-                    min_mass=args.min_mass,
-                )
+    requests = {
+        t: _checked(
+            args,
+            LintRequest,
+            **_program(args, t),
+            ca=args.ca,
+            cr=args.cr,
+            min_mass=args.min_mass,
+        )
+        for t in targets
+        if t != "running_example"
+    }
+    findings: dict[str, list] = {}
+    with _capture(args), ExitStack() as stack:
+        mapper = map
+        if args.jobs > 1 and len(requests) > 1:
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=args.jobs)
+            ).map
+        results = mapper(_lint_job, requests.values(), repeat(args.cache_dir))
+        for t in requests:
+            try:
+                findings[t] = [Diagnostic.from_dict(d) for d in next(results)]
+            except MiniCError as exc:
+                raise SystemExit(f"repro lint: {t}: {exc}")
+        if "running_example" in targets:
+            findings["running_example"] = _on_running_example(
+                args, lint_program, min_mass=args.min_mass
             )
 
     # Findings in target order (stable regardless of --jobs), each target's
     # list already ranked by mass.
-    pairs = [(t, d) for t in targets for d in results[t]]
+    pairs = [(t, d) for t in targets for d in findings[t]]
 
     if args.update_baseline:
         existing = (
@@ -727,45 +693,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .pipeline.cache import ArtifactCache
     from .pipeline.incremental import render_diff_text
     from .service.api import DiffRequest, execute_diff
 
-    if _is_named_lint_target(args.old):
-        version = {"target": args.old}
-    else:
-        with open(args.old) as f:
-            version = {
-                "source": f.read(),
-                "name": args.old,
-                "args": tuple(args.args),
-                "inputs": _parse_inputs(args.input),
-            }
-    if args.new is not None:
-        with open(args.new) as f:
-            version["new_source"] = f.read()
-    elif args.seed_edit:
-        version["seed_edit"] = True
-        version["edit_function"] = args.edit_function
-    else:
+    if (args.new is None) != args.seed_edit:
         raise SystemExit("diff: give a NEW file or --seed-edit")
-    try:
-        request = DiffRequest(
-            **version,
-            ca=args.ca,
-            cr=args.cr,
-            min_mass=args.min_mass,
-            check=args.check,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"diff: {exc}")
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
-    with _trace_capture(args):
-        payload = execute_diff(request, cache)
+    request = _checked(
+        args,
+        DiffRequest,
+        **_program(args, args.old),
+        new_source=None if args.new is None else _read(args, args.new),
+        seed_edit=args.seed_edit,
+        edit_function=args.edit_function,
+        ca=args.ca,
+        cr=args.cr,
+        min_mass=args.min_mass,
+        check=args.check,
+    )
+    with _capture(args):
+        payload = execute_diff(request, ArtifactCache(args.cache_dir))
     if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_diff_text(payload["report"] | {"timings": payload["timings"]}))
     if args.fail_on_new and payload["report"]["findings"]["new"]:
@@ -779,14 +728,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .obs import Tracer, render_span_tree
     from .service import AnalysisService, make_server
-
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.cache_dir:
-        import os
-
-        if os.path.exists(args.cache_dir) and not os.path.isdir(args.cache_dir):
-            raise SystemExit(f"--cache-dir {args.cache_dir!r} is not a directory")
 
     tracer = Tracer(enabled=True) if args.trace else None
     service = AnalysisService(
@@ -830,60 +771,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     from .service import AnalysisRequest, ServiceClient, ServiceError
 
-    if (args.target is None) == (args.file is None):
-        raise SystemExit("submit: give a target name or --file, not both")
-    source = None
-    if args.file is not None:
-        with open(args.file) as f:
-            source = f.read()
-    try:
-        request = AnalysisRequest(
-            target=args.target,
-            source=source,
-            name=args.file or "inline",
-            args=tuple(args.args),
-            inputs=_parse_inputs(args.input),
-            ca=args.ca,
-            cr=args.cr,
-            check=not args.no_check,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"submit: {exc}")
-
+    request = _checked(
+        args,
+        AnalysisRequest,
+        **_program(args, args.target),
+        ca=args.ca,
+        cr=args.cr,
+        check=not args.no_check,
+    )
     client = ServiceClient(args.url, timeout=args.timeout)
     try:
         if args.wait_ready:
             client.wait_ready(args.wait_ready)
-        result = client.analyze(request, timeout=args.timeout)
+        payload = client.analyze(request, timeout=args.timeout)
     except ServiceError as exc:
         raise SystemExit(f"submit: {exc}")
-
     if args.json:
-        import json
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return _print_checks(payload)
+    return _print_analysis(args.target, payload)
 
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        summary = result["summary"]
-        sharp = summary["sharpening"]
-        ratio = sharp["improvement_ratio"]
-        print(f"workload              : {result['workload']}")
-        print(f"CFG nodes             : {summary['cfg_nodes']}")
-        print(f"executed paths (train): {summary['executed_paths']}")
-        print(f"hot paths (CA={args.ca}) : {summary['hot_paths']}")
-        print(f"WZ non-local constants: {sharp['iterative_nonlocal']}")
-        print(f"qualified non-local   : {sharp['qualified_nonlocal']}")
-        print(
-            "improvement ratio     : "
-            + (f"{ratio:.3f}x" if ratio is not None else "inf")
-        )
-    diagnostics = result.get("diagnostics")
-    if diagnostics is not None:
-        print(f"# checks: {diagnostics['summary']}", file=sys.stderr)
-        if diagnostics["has_errors"]:
-            for record in diagnostics["records"]:
-                print(f"#   {record}", file=sys.stderr)
-            return 2
-    return 0
+
+def _jobs_arg(text: str) -> int:
+    """``--jobs``: a pool width of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _cache_dir_arg(text: str) -> str:
+    """``--cache-dir``: a directory, or a path where one can be made."""
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
+    return text
+
+
+def _parent() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -893,15 +817,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options several verbs share, each defined once.
+    cr = _parent()
+    cr.add_argument(
+        "--cr", type=float, default=0.95,
+        help="reduction coverage CR (default: %(default)s)",
+    )
+    coverage = argparse.ArgumentParser(add_help=False, parents=[cr])
+    coverage.add_argument(
+        "--ca", type=float, default=0.97,
+        help="hot-path coverage CA (default: %(default)s)",
+    )
+    program = _parent()
+    program.add_argument(
+        "--args", type=int, nargs="*", default=[],
+        help="program arguments for MiniC file targets",
+    )
+    program.add_argument(
+        "--input", action="append", default=[], metavar="NAME=V1,V2",
+        help="input arrays for MiniC file targets",
+    )
+    cache = _parent()
+    cache.add_argument(
+        "--cache-dir", metavar="DIR", type=_cache_dir_arg,
+        help="persistent artifact cache (omit for in-memory only)",
+    )
+    min_mass = _parent()
+    min_mass.add_argument(
+        "--min-mass", type=float, default=0.5,
+        help="drop path findings whose supporting profile-mass fraction "
+        "is below this threshold (default: %(default)s)",
+    )
+    json_out = _parent()
+    json_out.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+    trace_out = _parent()
+    trace_out.add_argument(
+        "--trace-out",
+        metavar="FILE",
+        help="stream the command's spans (then metrics) as line-buffered "
+        "JSONL — tailable while the command runs",
+    )
+    trace_out.add_argument(
+        "--mem-spans",
+        action="store_true",
+        help="annotate every span with its tracemalloc peak (mem_peak_kb); "
+        "implies observability capture",
+    )
+
+    def jobs(default: int) -> argparse.ArgumentParser:
+        p = _parent()
+        p.add_argument(
+            "--jobs", type=_jobs_arg, default=default,
+            help="worker pool width (default: %(default)s; 1 = serial)",
+        )
+        return p
+
+    target_help = (
+        "target name (workload/handwritten/preset or gen:k=v,... spec) "
+        "or a MiniC file"
+    )
+
     p = sub.add_parser("compile", help="compile MiniC to textual IR")
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("run", help="run a MiniC program and collect a profile")
+    p = sub.add_parser(
+        "run",
+        help="run a MiniC program and collect a profile",
+        parents=[program, trace_out],
+    )
     p.add_argument("file")
-    p.add_argument("--args", type=int, nargs="*", default=[])
-    p.add_argument("--input", action="append", default=[], metavar="NAME=V1,V2")
     p.add_argument("--save-profile", metavar="FILE")
     p.add_argument(
         "--check",
@@ -909,50 +897,52 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant checkers on the module and profile "
         "(exit 2 on error findings)",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("optimize", help="path-qualified optimization")
+    p = sub.add_parser(
+        "optimize", help="path-qualified optimization", parents=[coverage]
+    )
     p.add_argument("file")
     p.add_argument("--profile", required=True)
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("dot", help="emit Graphviz for a routine's CFG or HPG")
+    p = sub.add_parser(
+        "dot",
+        help="emit Graphviz for a routine's CFG or HPG",
+        parents=[coverage],
+    )
     p.add_argument("file")
     p.add_argument("--function", required=True)
     p.add_argument("--profile")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
     p.set_defaults(func=cmd_dot)
 
-    p = sub.add_parser("report", help="experiment summary for a workload")
-    p.add_argument(
-        "workload",
-        help="target name (workload/handwritten/preset or gen:k=v,... "
-        "spec) or a MiniC file",
+    p = sub.add_parser(
+        "report",
+        help="experiment summary for a workload",
+        parents=[coverage, trace_out],
     )
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
+    p.add_argument("target", help=target_help)
     p.add_argument(
         "--check",
         action="store_true",
         help="verify every pipeline stage with the invariant checkers "
         "(exit 2 on error findings)",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "bench",
         help="coverage sweep over workloads (parallel, cached); "
         "emits the figure/table artifacts",
+        parents=[cr, jobs(1), cache, trace_out],
     )
     p.add_argument(
-        "--workloads", nargs="*", metavar="NAME", help="subset (default: all)"
+        "--workloads",
+        nargs="*",
+        metavar="NAME",
+        help="target names (default: the seven SPEC workloads)",
     )
     p.add_argument(
         "--ca",
@@ -960,15 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="CA",
         help="coverage levels (default: the paper's Figure 9/11/12 sweep)",
-    )
-    p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache (omit for in-memory only)",
     )
     p.add_argument("--out", metavar="DIR", help="write artifacts here")
     p.add_argument(
@@ -984,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "edit, only cells whose workload changed re-run (warm cells skip "
         "checker re-runs)",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -992,6 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target x instance workload matrix: generated + hand-written "
         "targets, each cell a differential test (interp parity, dataflow "
         "parity, checks-clean)",
+        parents=[jobs(1), cache, trace_out],
     )
     p.add_argument(
         "--targets",
@@ -1014,14 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report = re-render from --archive without recomputation",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache (omit for in-memory only)",
-    )
-    p.add_argument(
         "--archive",
         metavar="DIR",
         help="content-addressed cell archive (required for --phase report)",
@@ -1030,26 +1003,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--list", action="store_true", help="list targets and instances"
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser(
         "trace",
         help="run one workload under observability; print the span-tree "
         "report and metric counters",
+        parents=[coverage, cache, trace_out],
     )
     p.add_argument(
-        "workload",
+        "target",
         nargs="?",
-        help="target name or MiniC file (defaults to compress95 with "
-        "--self-check)",
-    )
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache (omit for uncached)",
+        help=target_help + " (defaults to compress95 with --self-check)",
     )
     p.add_argument(
         "--top", type=int, default=5, help="length of the slowest-span list"
@@ -1060,13 +1025,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the expected stage spans and counters were recorded "
         "(CI smoke test)",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "serve",
         help="analysis-as-a-service daemon: HTTP/JSON job API over a shared "
         "artifact cache and worker pool (see docs/SERVICE.md)",
+        parents=[jobs(2), cache],
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -1074,15 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8321,
         help="TCP port (0 = ephemeral; the chosen port is printed to stderr)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=2, help="request worker threads"
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache shared by every request "
-        "(omit for in-memory only)",
     )
     p.add_argument(
         "--trace",
@@ -1098,32 +1054,20 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one analysis to a running 'repro serve' daemon and "
         "wait for the result",
+        parents=[program, coverage, json_out],
     )
-    p.add_argument(
-        "target",
-        nargs="?",
-        help="target name (workload/handwritten/preset or gen:k=v,... spec); "
-        "omit when submitting a file with --file",
-    )
-    p.add_argument(
-        "--file", metavar="FILE.mc", help="submit inline MiniC source instead"
-    )
+    p.add_argument("target", help=target_help)
     p.add_argument(
         "--url",
         default="http://127.0.0.1:8321",
         help="daemon base URL (default: %(default)s)",
     )
-    p.add_argument("--args", type=int, nargs="*", default=[])
-    p.add_argument("--input", action="append", default=[], metavar="NAME=V1,V2")
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
     p.add_argument(
         "--no-check",
         action="store_true",
         help="skip the invariant checkers (they run by default; "
         "error findings exit 2)",
     )
-    p.add_argument("--json", action="store_true", help="print the full result payload")
     p.add_argument(
         "--timeout",
         type=float,
@@ -1143,23 +1087,11 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run the self-verifying analysis layer: IR/profile/automaton/"
         "HPG/dataflow invariant checks and lints",
+        parents=[program, coverage, cache, json_out, trace_out],
     )
     p.add_argument(
-        "target",
-        nargs="?",
-        help="target name (workload/handwritten/preset or gen:k=v,... "
-        "spec), 'running_example', or a MiniC file",
+        "target", nargs="?", help=target_help + ", or 'running_example'"
     )
-    p.add_argument("--args", type=int, nargs="*", default=[])
-    p.add_argument("--input", action="append", default=[], metavar="NAME=V1,V2")
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache (cached artifacts are checked too)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--fail-on",
         choices=("error", "warning", "never"),
@@ -1172,7 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the checkers themselves: a clean run reports no "
         "errors and a seeded defect is caught (CI smoke test)",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -1180,6 +1111,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile-qualified static analyzer: hot-path-ranked LINT "
         "findings with SARIF export and baseline suppression "
         "(see docs/ANALYZER.md)",
+        parents=[
+            program, coverage, min_mass, cache, jobs(1), json_out, trace_out
+        ],
     )
     p.add_argument(
         "targets",
@@ -1189,31 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'running_example', or MiniC files (default: all registered "
         "workloads)",
     )
-    p.add_argument("--args", type=int, nargs="*", default=[],
-                   help="program arguments for MiniC file targets")
-    p.add_argument("--input", action="append", default=[],
-                   metavar="NAME=V1,V2",
-                   help="input arrays for MiniC file targets")
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--min-mass",
-        type=float,
-        default=0.5,
-        help="drop path findings whose supporting profile-mass fraction "
-        "is below this threshold (default: %(default)s)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache (findings are cached under the "
-        "analyzer configuration)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="process-pool width over named targets (1 = serial)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--sarif", metavar="FILE", help="also write a SARIF 2.1.0 log"
     )
@@ -1250,7 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None,
         help="show at most this many findings in the text report",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
@@ -1258,13 +1166,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="incremental re-analysis of an edit: per-function "
         "hit/recompute ledger plus new/fixed/unchanged findings "
         "(see docs/INCREMENTAL.md)",
+        parents=[program, coverage, min_mass, cache, json_out, trace_out],
     )
-    p.add_argument(
-        "old",
-        metavar="OLD",
-        help="old version: a named target (workload/preset/gen:spec) "
-        "or a MiniC file",
-    )
+    p.add_argument("old", metavar="OLD", help="old version: " + target_help)
     p.add_argument(
         "new",
         nargs="?",
@@ -1282,59 +1186,32 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="function the seeded edit targets (default: the first)",
     )
-    p.add_argument("--args", type=int, nargs="*", default=[],
-                   help="program arguments for MiniC file targets")
-    p.add_argument("--input", action="append", default=[],
-                   metavar="NAME=V1,V2",
-                   help="input arrays for MiniC file targets")
-    p.add_argument("--ca", type=float, default=0.97)
-    p.add_argument("--cr", type=float, default=0.95)
-    p.add_argument(
-        "--min-mass",
-        type=float,
-        default=0.5,
-        help="analyzer mass threshold (default: %(default)s)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent artifact cache shared between the two versions "
-        "(and with earlier runs)",
-    )
     p.add_argument(
         "--check",
         action="store_true",
         help="run the pipeline checkers on both versions and diff their "
         "diagnostics",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--fail-on-new",
         action="store_true",
         help="exit 1 when the edit introduces any new lint finding",
     )
-    _add_trace_out(p)
     p.set_defaults(func=cmd_diff)
 
     return parser
 
 
-def _add_trace_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="stream the command's spans (then metrics) as line-buffered "
-        "JSONL — tailable while the command runs",
-    )
-    p.add_argument(
-        "--mem-spans",
-        action="store_true",
-        help="annotate every span with its tracemalloc peak (mem_peak_kb); "
-        "implies observability capture",
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Malformed input ends a verb with one line: the request parsers and
+    :func:`_read` raise ``SystemExit`` themselves, and a MiniC error is
+    reported here against the program(s) the verb was given."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MiniCError as exc:
+        keys = ("file", "target", "old", "new")
+        programs = " / ".join(getattr(args, k) for k in keys if getattr(args, k, None))
+        raise SystemExit(f"repro {args.command}: {programs}: {exc}")

@@ -27,7 +27,7 @@ import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from ..checks.diagnostics import Diagnostic, Diagnostics
+from ..checks.diagnostics import Diagnostics
 from ..evaluation.harness import (
     CA_SWEEP,
     DEFAULT_CA,
@@ -108,10 +108,6 @@ class SweepResult:
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Checker findings merged across all jobs (empty unless ``check=True``).
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    #: Ranked analyzer findings per workload (empty unless ``lint=True``).
-    #: Each workload's tuple is computed exactly once — in its summary job —
-    #: so the mapping is identical regardless of the pool width.
-    lint_findings: dict[str, tuple[Diagnostic, ...]] = field(default_factory=dict)
 
     # -- renderers ---------------------------------------------------------
 
@@ -420,9 +416,7 @@ def _incremental_summary(
     cr: float,
     cache_dir: Optional[str],
     check: bool,
-    lint: bool,
-    min_mass: Optional[float],
-) -> tuple[WorkloadSummary, Optional[list], Optional[WorkloadRun]]:
+) -> tuple[WorkloadSummary, Optional[WorkloadRun]]:
     cache = _obtain_cache(name, cache_dir)
     key = content_key(
         "sweep-summary",
@@ -430,22 +424,17 @@ def _incremental_summary(
         _workload_data_part(name),
         default_ca,
         cr,
-        bool(lint),
-        min_mass,
     )
-
-    def compute():
-        run = _obtain_run(name, cache_dir, check, incremental=True)
-        summary = _summary_from_run(run, default_ca, cr)
-        lint_dicts = (
-            [d.to_dict() for d in run.lint(default_ca, cr, min_mass)]
-            if lint
-            else None
-        )
-        return summary, lint_dicts
-
-    summary, lint_dicts = cache.memo(KIND_SWEEP_SUMMARY, key, compute)
-    return summary, lint_dicts, _RUN_TABLE.get((name, cache_dir, check))
+    summary = cache.memo(
+        KIND_SWEEP_SUMMARY,
+        key,
+        lambda: _summary_from_run(
+            _obtain_run(name, cache_dir, check, incremental=True),
+            default_ca,
+            cr,
+        ),
+    )
+    return summary, _RUN_TABLE.get((name, cache_dir, check))
 
 
 def _cell_job(
@@ -484,28 +473,18 @@ def _summary_job(
     cache_dir: Optional[str],
     obs: bool = False,
     check: bool = False,
-    lint: bool = False,
-    min_mass: Optional[float] = None,
     incremental: bool = False,
 ) -> tuple:
     active = _ensure_worker_obs(obs)
     with get_tracer().span("driver.summary", workload=name):
         if incremental:
-            summary, lint_dicts, run = _incremental_summary(
-                name, default_ca, cr, cache_dir, check, lint, min_mass,
+            summary, run = _incremental_summary(
+                name, default_ca, cr, cache_dir, check
             )
             stats = _obtain_cache(name, cache_dir).stats
         else:
             run = _obtain_run(name, cache_dir, check)
             summary = _summary_from_run(run, default_ca, cr)
-            # Analyzer findings ride on the summary job (exactly one per
-            # workload), shipped as dicts across the process boundary; the
-            # parent's mapping is therefore the same for any pool width.
-            lint_dicts = None
-            if lint:
-                lint_dicts = [
-                    d.to_dict() for d in run.lint(default_ca, cr, min_mass)
-                ]
             stats = run.cache.stats
     return (
         "summary",
@@ -514,7 +493,6 @@ def _summary_job(
         _stats_delta(name, cache_dir, stats),
         _diag_delta(name, cache_dir, run),
         _obs_delta(active),
-        lint_dicts,
     )
 
 
@@ -558,8 +536,6 @@ class ParallelDriver:
         cr: float = DEFAULT_CR,
         default_ca: float = DEFAULT_CA,
         check: bool = False,
-        lint: bool = False,
-        min_mass: Optional[float] = None,
         incremental: bool = False,
     ) -> None:
         if jobs < 1:
@@ -570,11 +546,6 @@ class ParallelDriver:
         self.default_ca = default_ca
         #: Verify every pipeline stage of every job (SweepResult.diagnostics).
         self.check = check
-        #: Run the profile-qualified analyzer once per workload
-        #: (SweepResult.lint_findings).
-        self.lint = lint
-        #: Analyzer mass threshold (``None`` = the analyzer default).
-        self.min_mass = min_mass
         #: Memoize whole sweep cells/summaries by module fingerprint: after
         #: an edit, only cells whose workload's function set changed re-run.
         #: Warm cells skip checker re-runs (artifacts were checked when
@@ -703,10 +674,6 @@ class ParallelDriver:
                 result.summaries[name] = _summary_from_run(
                     run, self.default_ca, self.cr
                 )
-                if self.lint:
-                    result.lint_findings[name] = tuple(
-                        run.lint(self.default_ca, self.cr, self.min_mass)
-                    )
             result.cache_stats.merge(run.cache.stats)
             result.diagnostics.extend(run.checker.diagnostics)
 
@@ -725,15 +692,9 @@ class ParallelDriver:
                         name, ca, self.cr, self.cache_dir, self.check,
                     )
                     result.cells[(name, ca)] = cell
-                summary, lint_dicts, run = _incremental_summary(
-                    name, self.default_ca, self.cr, self.cache_dir,
-                    self.check, self.lint, self.min_mass,
+                result.summaries[name], run = _incremental_summary(
+                    name, self.default_ca, self.cr, self.cache_dir, self.check,
                 )
-                result.summaries[name] = summary
-                if lint_dicts is not None:
-                    result.lint_findings[name] = tuple(
-                        Diagnostic.from_dict(d) for d in lint_dicts
-                    )
             stats = _obtain_cache(name, self.cache_dir).stats
             result.cache_stats.merge(_stats_delta(name, self.cache_dir, stats))
             for d in Diagnostics.from_dicts(
@@ -771,8 +732,6 @@ class ParallelDriver:
                     self.cache_dir,
                     obs,
                     self.check,
-                    self.lint,
-                    self.min_mass,
                     self.incremental,
                 )
                 for name in result.workloads
@@ -783,12 +742,8 @@ class ParallelDriver:
                     _, name, ca, cell, stats, diags, obs_payload = payload
                     result.cells[(name, ca)] = cell
                 else:
-                    _, name, summary, stats, diags, obs_payload, lint_dicts = payload
+                    _, name, summary, stats, diags, obs_payload = payload
                     result.summaries[name] = summary
-                    if lint_dicts is not None:
-                        result.lint_findings[name] = tuple(
-                            Diagnostic.from_dict(d) for d in lint_dicts
-                        )
                 result.cache_stats.merge(stats)
                 for d in Diagnostics.from_dicts(diags):
                     if d not in seen_diags:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..evaluation.harness import (
     DEFAULT_CA,
@@ -62,19 +62,11 @@ def _source(value: Any, name: str) -> str:
 
 
 def _target(value: Any, name: str) -> str:
-    """A registered target name or a ``gen:key=value,...`` spec, checked
-    by name only (so an unknown target is a 400, not a failed job)."""
-    from ..workloads.generate import parse_genspec
-    from ..workloads.matrix import TARGET_NAMES
+    """A target name or ``gen:`` spec, checked by name only (so an unknown
+    target is a 400, not a failed job)."""
+    from ..workloads.matrix import check_target
 
-    if _text(value, name).startswith("gen:"):
-        parse_genspec(value)  # raises ValueError on a bad spec
-    elif value not in TARGET_NAMES:
-        raise ValueError(
-            f"unknown target {value!r}; choose from {TARGET_NAMES} "
-            f"or a gen:key=value,... spec"
-        )
-    return value
+    return check_target(_text(value, name))
 
 
 def _flag(value: Any, name: str) -> bool:
@@ -118,15 +110,9 @@ def _arrays(value: Any, name: str) -> dict[str, tuple[int, ...]]:
     return {k: _ints(v, f"{name}[{k!r}]") for k, v in value.items()}
 
 
-def _workload_names(value: Any, name: str) -> tuple[str, ...]:
-    from ..workloads import WORKLOAD_NAMES
-
-    unknown = [w for w in _list(value, name) if w not in WORKLOAD_NAMES]
-    if unknown:
-        raise ValueError(
-            f"unknown workload(s) {unknown}; choose from {WORKLOAD_NAMES}"
-        )
-    return tuple(value)
+def _targets(value: Any, name: str) -> tuple[str, ...]:
+    values = _list(value, name)
+    return tuple(_target(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def _optional(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
@@ -151,7 +137,7 @@ _FIELD_PARSERS: dict[str, Callable[[Any, str], Any]] = {
     "min_mass": _fraction,
     "check": _flag,
     "table2": _flag,
-    "workloads": _workload_names,
+    "workloads": _targets,
     "ca_values": _fractions,
     "jobs": _positive_int,
 }
@@ -223,7 +209,7 @@ class _ProgramRequest(_Request):
     #: or an ad-hoc ``gen:key=value,...`` spec.  Mutually exclusive with
     #: ``source``.
     target: Optional[str] = None
-    #: Inline MiniC source (the ``repro submit --file`` path).
+    #: Inline MiniC source (how the CLI sends a MiniC file target).
     source: Optional[str] = None
     #: Label for inline submissions (cosmetic; part of the fingerprint).
     name: str = "inline"
@@ -321,6 +307,8 @@ class SweepRequest(_Request):
     """A figure/table coverage sweep, batched onto the
     :class:`~repro.pipeline.driver.ParallelDriver` pool."""
 
+    #: Target names (default: the seven SPEC workloads).  Files cannot be
+    #: swept: the driver ships names to its worker processes.
     workloads: tuple[str, ...] = ()
     ca_values: tuple[float, ...] = ()
     cr: float = DEFAULT_CR
@@ -332,6 +320,9 @@ class SweepRequest(_Request):
 
     def label(self) -> str:
         return "sweep:" + ",".join(self.workloads or ("all",))
+
+
+Request = Union[AnalysisRequest, LintRequest, DiffRequest, SweepRequest]
 
 
 # ---------------------------------------------------------------------------

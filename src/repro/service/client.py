@@ -3,8 +3,8 @@
 The same code path serves three callers: the ``repro submit`` CLI verb,
 the service test suite, and anyone embedding the daemon.  It speaks the
 JSON protocol of :mod:`repro.service.daemon` and hides the polling job
-model behind :meth:`ServiceClient.analyze` / :meth:`ServiceClient.sweep`,
-which submit and block until the job finishes.
+model behind :meth:`ServiceClient.analyze`, which submits a request of any
+kind and blocks until its job finishes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Mapping, Optional, Union
 
-from .api import AnalysisRequest, DiffRequest, LintRequest, SweepRequest
+from .api import Request
 
 
 class ServiceError(RuntimeError):
@@ -93,31 +93,15 @@ class ServiceClient:
     def job(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}")[2]
 
-    def submit(
-        self, request: Union[AnalysisRequest, Mapping[str, Any]]
-    ) -> dict:
-        """POST an analysis request; returns the 202 body (``job``, ``state``,
+    def submit(self, request: Union[Request, Mapping[str, Any]]) -> dict:
+        """POST a request to ``/v1/<request.kind>`` (a raw mapping goes to
+        ``/v1/analyze``); returns the 202 body (``job``, ``state``,
         ``coalesced``, ``poll``)."""
-        body = request.to_dict() if isinstance(request, AnalysisRequest) else dict(request)
-        return self._request("POST", "/v1/analyze", body)[2]
-
-    def submit_lint(
-        self, request: Union[LintRequest, Mapping[str, Any]]
-    ) -> dict:
-        body = request.to_dict() if isinstance(request, LintRequest) else dict(request)
-        return self._request("POST", "/v1/lint", body)[2]
-
-    def submit_sweep(
-        self, request: Union[SweepRequest, Mapping[str, Any]]
-    ) -> dict:
-        body = request.to_dict() if isinstance(request, SweepRequest) else dict(request)
-        return self._request("POST", "/v1/sweep", body)[2]
-
-    def submit_diff(
-        self, request: Union[DiffRequest, Mapping[str, Any]]
-    ) -> dict:
-        body = request.to_dict() if isinstance(request, DiffRequest) else dict(request)
-        return self._request("POST", "/v1/diff", body)[2]
+        if isinstance(request, Mapping):
+            path, body = "/v1/analyze", dict(request)
+        else:
+            path, body = f"/v1/{request.kind}", request.to_dict()
+        return self._request("POST", path, body)[2]
 
     # -- convenience -------------------------------------------------------
 
@@ -141,34 +125,11 @@ class ServiceClient:
 
     def analyze(
         self,
-        request: Union[AnalysisRequest, Mapping[str, Any]],
+        request: Union[Request, Mapping[str, Any]],
         timeout: float = 300.0,
     ) -> dict:
-        """Submit-and-wait; returns the analysis result payload."""
+        """Submit-and-wait; returns the job's result payload."""
         return self.wait(self.submit(request)["job"], timeout)["result"]
-
-    def lint(
-        self,
-        request: Union[LintRequest, Mapping[str, Any]],
-        timeout: float = 300.0,
-    ) -> dict:
-        """Submit-and-wait; returns the ranked-findings lint payload."""
-        return self.wait(self.submit_lint(request)["job"], timeout)["result"]
-
-    def sweep(
-        self,
-        request: Union[SweepRequest, Mapping[str, Any]],
-        timeout: float = 600.0,
-    ) -> dict:
-        return self.wait(self.submit_sweep(request)["job"], timeout)["result"]
-
-    def diff(
-        self,
-        request: Union[DiffRequest, Mapping[str, Any]],
-        timeout: float = 300.0,
-    ) -> dict:
-        """Submit-and-wait; returns the differential report payload."""
-        return self.wait(self.submit_diff(request)["job"], timeout)["result"]
 
     def wait_ready(self, timeout: float = 10.0, poll: float = 0.05) -> dict:
         """Retry ``/healthz`` until the daemon accepts connections — the

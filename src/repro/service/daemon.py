@@ -27,12 +27,13 @@ POST      ``/v1/analyze``    submit an :class:`AnalysisRequest` → 202 + job
 POST      ``/v1/lint``       submit a :class:`LintRequest` → 202 + job
 POST      ``/v1/sweep``      submit a :class:`SweepRequest` → 202 + job
 POST      ``/v1/diff``       submit a :class:`DiffRequest` → 202 + job
-GET       ``/v1/jobs``       summaries of every known job
+GET       ``/v1/jobs``       summaries of the retained jobs, oldest first
 GET       ``/v1/jobs/<id>``  one job, including its result when done
 ========  =================  ==============================================
 
 Request/response bodies are JSON; errors are ``{"error": ...}`` with 400
-(bad request), 404 (unknown job/path), 413 (body over
+(bad request), 404 (unknown job/path, or a job evicted after
+:data:`RETAINED_JOBS` newer ones finished), 413 (body over
 :data:`MAX_BODY_BYTES`), or 503 (shutting down).
 """
 
@@ -42,8 +43,9 @@ import json
 import queue
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Union
+from typing import Optional
 
 from ..obs import (
     PROMETHEUS_CONTENT_TYPE,
@@ -58,6 +60,7 @@ from .api import (
     AnalysisRequest,
     DiffRequest,
     LintRequest,
+    Request,
     SweepRequest,
     execute_diff,
     execute_lint,
@@ -65,7 +68,11 @@ from .api import (
     execute_sweep,
 )
 
-Request = Union[AnalysisRequest, LintRequest, DiffRequest, SweepRequest]
+#: Request class by kind: ``POST /v1/<kind>`` parses its body with it.
+REQUEST_CLASSES = {
+    cls.kind: cls
+    for cls in (AnalysisRequest, LintRequest, DiffRequest, SweepRequest)
+}
 
 #: Job lifecycle states, in order.
 QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
@@ -74,6 +81,10 @@ QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
 #: input arrays run to kilobytes; the cap keeps one request from making a
 #: handler thread buffer an arbitrary amount of memory.
 MAX_BODY_BYTES = 4 << 20
+
+#: Finished jobs the daemon keeps, results included; the oldest finished
+#: job is evicted first, and queued or running jobs never are.
+RETAINED_JOBS = 1024
 
 
 class ServiceClosed(RuntimeError):
@@ -149,7 +160,10 @@ class AnalysisService:
         #: because span retention is unbounded while counters are not.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
+        #: Retained jobs in submission order.
         self._jobs: dict[str, Job] = {}
+        #: Ids of the finished jobs in ``_jobs``, oldest first.
+        self._finished: deque[str] = deque()
         #: fingerprint → queued-or-running job, the coalescing index.
         self._active: dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -200,7 +214,7 @@ class AnalysisService:
 
     def jobs(self) -> list[Job]:
         with self._lock:
-            return [self._jobs[k] for k in sorted(self._jobs)]
+            return list(self._jobs.values())
 
     def wait(self, job: Job, timeout: Optional[float] = None) -> Job:
         if not job.finished.wait(timeout):
@@ -256,6 +270,8 @@ class AnalysisService:
                     kind=job.request.kind,
                     label=job.request.label(),
                 ):
+                    # Each executor is called by its module-level name, so
+                    # a wrapper rebound on this module sees every call.
                     if isinstance(job.request, AnalysisRequest):
                         job.result = execute_request(job.request, self.cache)
                     elif isinstance(job.request, LintRequest):
@@ -283,10 +299,18 @@ class AnalysisService:
             self.registry.histogram("service_request_latency_ms").observe(
                 job.duration * 1000.0
             )
-            with self._lock:
-                if self._active.get(job.fingerprint) is job:
-                    del self._active[job.fingerprint]
-            job.finished.set()
+            self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Drop a finished job from the coalescing index, evict the oldest
+        finished jobs beyond :data:`RETAINED_JOBS`, and wake its waiters."""
+        with self._lock:
+            if self._active.get(job.fingerprint) is job:
+                del self._active[job.fingerprint]
+            self._finished.append(job.id)
+            while len(self._finished) > RETAINED_JOBS:
+                del self._jobs[self._finished.popleft()]
+        job.finished.set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -314,10 +338,7 @@ class AnalysisService:
                     continue
                 job.error = "service shut down before the job ran"
                 job.state = ERROR
-                with self._lock:
-                    if self._active.get(job.fingerprint) is job:
-                        del self._active[job.fingerprint]
-                job.finished.set()
+                self._retire(job)
                 abandoned += 1
         for _ in self._workers:
             self._queue.put(None)
@@ -410,19 +431,13 @@ class ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         path = self.path.split("?", 1)[0].rstrip("/")
-        if path == "/v1/analyze":
-            parse = AnalysisRequest.from_dict
-        elif path == "/v1/lint":
-            parse = LintRequest.from_dict
-        elif path == "/v1/sweep":
-            parse = SweepRequest.from_dict
-        elif path == "/v1/diff":
-            parse = DiffRequest.from_dict
-        else:
+        prefix, _, kind = path.rpartition("/")
+        cls = REQUEST_CLASSES.get(kind) if prefix == "/v1" else None
+        if cls is None:
             self._error(404, f"no such endpoint {path!r}")
             return
         try:
-            request = parse(self._read_json_body())
+            request = cls.from_dict(self._read_json_body())
         except _UnreadBody as exc:
             # The unread body would be parsed as the next request on this
             # connection, so it cannot be kept alive.

@@ -71,6 +71,8 @@ __all__ = [
     "TARGET_NAMES",
     "build_targets",
     "cell_key",
+    "check_target",
+    "is_target",
     "load_archived",
     "resolve_target",
     "run_cell",
@@ -151,6 +153,29 @@ def resolve_instance(name: str) -> Instance:
 TARGET_NAMES: tuple[str, ...] = (
     WORKLOAD_NAMES + HANDWRITTEN_NAMES + tuple(GEN_PRESETS)
 )
+
+
+def is_target(name: str) -> bool:
+    """Whether ``name`` names a target (a registered name or a ``gen:``
+    spec) rather than a program file — the one test every verb, request
+    and sweep uses."""
+    return name in TARGET_NAMES or name.startswith("gen:")
+
+
+def check_target(name: str) -> str:
+    """``name`` itself if it is a target whose ``gen:`` spec (if any)
+    parses; raises ``ValueError`` naming it otherwise."""
+    if not is_target(name):
+        raise ValueError(
+            f"unknown target {name!r}; choose from {TARGET_NAMES} "
+            f"or a gen:key=value,... spec"
+        )
+    if name.startswith("gen:"):
+        try:
+            parse_genspec(name)
+        except ValueError as exc:
+            raise ValueError(f"bad target {name!r}: {exc}") from None
+    return name
 
 
 #: Bound on the workloads :func:`resolve_target` keeps.  Any client can

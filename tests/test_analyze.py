@@ -306,10 +306,11 @@ class TestBaseline:
         new."""
         import pathlib
 
-        from repro.analyze import lint_target
+        from repro.service import LintRequest, execute_lint
 
         path = pathlib.Path(__file__).parent.parent / "baselines" / "lint.json"
-        pairs = [("sieve", d) for d in lint_target("sieve")]
+        findings = execute_lint(LintRequest(target="sieve"))["findings"]
+        pairs = [("sieve", Diagnostic.from_dict(d)) for d in findings]
         assert pairs
         new, _ = partition(pairs, Baseline.load(path))
         assert not new
@@ -407,11 +408,17 @@ class TestLintCli:
 
     @pytest.mark.slow
     def test_jobs_do_not_change_output(self, capsys, tmp_path):
+        prog = str(_write_prog(tmp_path, LINTY_SOURCE))
         cache = str(tmp_path / "cache")
         argv = [
             "lint",
             "sieve",
+            prog,
             "gen-small",
+            "--args",
+            str(LINT_N),
+            "--input",
+            f"flag={LINT_FLAG}",
             "--cache-dir",
             cache,
             "--min-mass",
@@ -423,9 +430,11 @@ class TestLintCli:
         assert main(argv + ["--jobs", "2"]) == 0
         parallel = json.loads(capsys.readouterr().out)
         assert serial == parallel
-        # Target order is canonical: all sieve findings precede gen-small's.
+        # Target order is canonical: sieve, then the file, then gen-small.
+        order = ("sieve", prog, "gen-small")
         targets = [f["target"] for f in serial["findings"]]
-        assert targets == sorted(targets, key=("sieve", "gen-small").index)
+        assert set(targets) == set(order)
+        assert targets == sorted(targets, key=order.index)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +513,7 @@ class TestLintService:
         try:
             host, port = server.server_address[:2]
             client = ServiceClient(f"http://{host}:{port}")
-            payload = client.lint(self._inline_request())
+            payload = client.analyze(self._inline_request())
             direct = execute_lint(self._inline_request())
             assert comparable_payload(payload) == comparable_payload(
                 direct

@@ -189,6 +189,10 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "--workloads", "gcc95"])
 
+    def test_any_named_target(self, capsys):
+        assert main(["bench", "--workloads", "sieve", "--ca", "0.97"]) == 0
+        assert "sieve" in capsys.readouterr().out
+
     def test_bench_writes_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         rc = main(
@@ -471,3 +475,84 @@ class TestDataflowEngineFlag:
         ]
         assert spans
         assert all("mem_peak_kb" not in s["attrs"] for s in spans)
+
+
+#: A MiniC program with a syntax error on line 2.
+BAD_SOURCE = "func main() {\n  return 1 + ;\n}\n"
+
+#: (argv, what the one-line message must name).  ``{missing}`` is a path
+#: that does not exist, ``{bad}`` a file holding ``BAD_SOURCE``, and
+#: ``{prog}`` a valid program.
+MALFORMED_INPUTS = [
+    pytest.param(argv, named, id=label)
+    for label, argv, named in (
+        ("lint-missing", ["lint", "{missing}"], "{missing}"),
+        ("diff-old-missing", ["diff", "{missing}", "--seed-edit"], "{missing}"),
+        ("diff-new-missing", ["diff", "{prog}", "{missing}"], "{missing}"),
+        ("submit-missing",
+         ["submit", "{missing}", "--url", "http://127.0.0.1:9"], "{missing}"),
+        ("run-missing", ["run", "{missing}"], "{missing}"),
+        ("compile-missing", ["compile", "{missing}"], "{missing}"),
+        ("optimize-missing",
+         ["optimize", "{missing}", "--profile", "{missing}"], "{missing}"),
+        ("optimize-profile-missing",
+         ["optimize", "{prog}", "--profile", "{missing}"], "{missing}"),
+        ("dot-missing", ["dot", "{missing}", "--function", "main"], "{missing}"),
+        ("lint-syntax", ["lint", "{bad}"], "{bad}: line 2"),
+        ("report-syntax", ["report", "{bad}"], "{bad}: line 2"),
+        ("check-syntax", ["check", "{bad}"], "{bad}: line 2"),
+        ("trace-syntax", ["trace", "{bad}"], "{bad}: line 2"),
+        ("run-syntax", ["run", "{bad}"], "{bad}: line 2"),
+        ("compile-syntax", ["compile", "{bad}"], "{bad}: line 2"),
+        ("optimize-syntax",
+         ["optimize", "{bad}", "--profile", "{missing}"], "{bad}: line 2"),
+        ("dot-syntax", ["dot", "{bad}", "--function", "main"], "{bad}: line 2"),
+        ("lint-genspec", ["lint", "gen:nonsense"], "gen:nonsense"),
+        ("suite-genspec", ["suite", "--targets", "gen:seed=x"], "gen:seed=x"),
+        ("report-ca", ["report", "sieve", "--ca", "2.5"], "2.5"),
+        ("check-cr", ["check", "sieve", "--cr", "-0.5"], "-0.5"),
+        ("check-example-ca", ["check", "running_example", "--ca", "2"], "2.0"),
+        ("lint-example-cr",
+         ["lint", "running_example", "--cr", "1.25"], "1.25"),
+        ("lint-ca", ["lint", "sieve", "--ca", "1.5"], "1.5"),
+        ("lint-min-mass", ["lint", "sieve", "--min-mass", "3"], "3"),
+        ("bench-ca", ["bench", "--workloads", "sieve", "--ca", "7"], "7"),
+        ("run-input", ["run", "{prog}", "--input", "data=1,x"], "data=1,x"),
+    )
+]
+
+
+class TestMalformedInput:
+    """Every malformed input ends the verb in one line naming it, before
+    any compile or profiling of a well-formed part runs."""
+
+    @pytest.mark.parametrize("argv, named", MALFORMED_INPUTS)
+    def test_one_line_error(self, argv, named, prog, tmp_path):
+        bad = tmp_path / "bad.mc"
+        bad.write_text(BAD_SOURCE)
+        paths = {
+            "missing": str(tmp_path / "absent.mc"),
+            "bad": str(bad),
+            "prog": str(prog),
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message, message
+        assert named.format(**paths) in message
+        assert message.startswith(f"repro {argv[0]}: ")
+
+    def test_jobs_and_cache_dir_are_checked_by_the_parser(self, prog, capsys):
+        for argv in (
+            ["lint", "sieve", "--jobs", "0"],
+            ["bench", "--jobs", "-1"],
+            ["suite", "--jobs", "0"],
+            ["serve", "--jobs", "0"],
+            ["trace", "sieve", "--cache-dir", str(prog)],
+            ["serve", "--cache-dir", str(prog)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "--jobs" in err or "is not a directory" in err, argv

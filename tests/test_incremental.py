@@ -367,7 +367,7 @@ def test_daemon_diff_is_bit_identical_to_direct(served):
     client.wait_ready(timeout=10)
     request = DiffRequest(target="gen-small", seed_edit=True)
     direct = execute_diff(request)
-    via_daemon = client.diff(request)
+    via_daemon = client.analyze(request)
     assert comparable_payload(via_daemon) == comparable_payload(direct)
     assert via_daemon["kind"] == "diff"
     assert via_daemon["report"]["schema"] == DIFF_SCHEMA
@@ -379,8 +379,8 @@ def test_daemon_diff_is_bit_identical_to_direct(served):
 def test_daemon_coalesces_identical_diff_submissions(served):
     _, client = served
     request = DiffRequest(target="gen-small", seed_edit=True, ca=0.875)
-    first = client.submit_diff(request)
-    second = client.submit_diff(request)
+    first = client.submit(request)
+    second = client.submit(request)
     results = [client.wait(sub["job"])["result"] for sub in (first, second)]
     assert comparable_payload(results[0]) == comparable_payload(results[1])
 
@@ -405,20 +405,14 @@ def test_diff_request_validation():
 
 def test_incremental_sweep_matches_plain_and_serves_warm(tmp_path):
     cache_dir = str(tmp_path / "sweep-cache")
-    plain = ParallelDriver(jobs=1, cache_dir=cache_dir, lint=True).sweep(
+    plain = ParallelDriver(jobs=1, cache_dir=cache_dir).sweep(
         [WORKLOAD], [DEFAULT_CA]
     )
-    driver = ParallelDriver(
-        jobs=1, cache_dir=cache_dir, lint=True, incremental=True
-    )
+    driver = ParallelDriver(jobs=1, cache_dir=cache_dir, incremental=True)
     cold = driver.sweep([WORKLOAD], [DEFAULT_CA])
     assert cold.artifacts() == plain.artifacts()
     warm = driver.sweep([WORKLOAD], [DEFAULT_CA])
     assert warm.artifacts() == plain.artifacts()
-    # Lint findings survive cell memoization.
-    assert [d.to_dict() for d in warm.lint_findings[WORKLOAD]] == [
-        d.to_dict() for d in plain.lint_findings[WORKLOAD]
-    ]
     # The second incremental sweep is served entirely from the memoized
     # sweep cells: one miss (cold) then one hit (warm) per kind.
     from repro.pipeline.driver import _obtain_cache

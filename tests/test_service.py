@@ -259,7 +259,7 @@ def test_inline_source_submission(served):
 def test_sweep_endpoint_matches_driver(served):
     _, client = served
     request = SweepRequest(workloads=("compress95",), ca_values=(0.97,))
-    result = client.sweep(request)
+    result = client.analyze(request, timeout=600)
     from repro.service import execute_sweep
 
     direct = execute_sweep(request)
@@ -476,6 +476,13 @@ def test_cmd_submit_against_live_daemon(capsys):
         payload = json.loads(out.out)
         assert payload["workload"] == TARGET
         assert payload["diagnostics"] is None
+
+        # A file target is sent as inline source.
+        path = "examples/running_example.mc"
+        rc = main(["submit", path, "--url", url, *RUNNING_EXAMPLE_ARGS])
+        out = capsys.readouterr()
+        assert rc == 0
+        assert out.out.startswith(f"{path} @ CA=0.97, CR=0.95")
     finally:
         server.shutdown()
         server.server_close()
@@ -487,12 +494,240 @@ def test_cmd_submit_rejects_bad_invocations(tmp_path):
     from repro.cli import main
 
     with pytest.raises(SystemExit):
-        main(["submit"])  # neither target nor --file
-    mc = tmp_path / "p.mc"
-    mc.write_text("func main() { return 0; }\n")
-    with pytest.raises(SystemExit):
-        main(["submit", TARGET, "--file", str(mc)])  # both
+        main(["submit"])  # no target
+    missing = str(tmp_path / "absent.mc")
+    with pytest.raises(SystemExit, match="absent.mc"):
+        # A missing file fails before any connection is made.
+        main(["submit", missing, "--url", "http://127.0.0.1:9"])
     with pytest.raises(SystemExit, match="cannot reach|failed"):
         # Nothing listens on this closed port: a clean client error, not a
         # traceback.
         main(["submit", TARGET, "--url", "http://127.0.0.1:9", "--timeout", "2"])
+
+
+# -- one route per request kind ---------------------------------------------
+
+
+def test_client_routes_every_kind_by_request_kind(served):
+    """``submit``/``analyze`` send each request to ``/v1/<kind>``; the
+    result equals the direct executor's."""
+    from repro.service import DiffRequest, execute_diff
+
+    _, client = served
+    for request, execute in (
+        (LintRequest(target="sieve"), execute_lint),
+        (DiffRequest(target="sieve", seed_edit=True), execute_diff),
+    ):
+        result = client.analyze(request)
+        assert comparable_payload(result) == comparable_payload(execute(request))
+        assert result["kind"] == request.kind
+
+
+def test_requests_pickle_with_their_fingerprint():
+    import pickle
+
+    from repro.service import DiffRequest
+
+    for request in (
+        _request(),
+        LintRequest(source="func main(n) { return n; }", args=(3,),
+                    inputs={"a": [1, 2]}),
+        DiffRequest(target="sieve", seed_edit=True),
+        SweepRequest(workloads=("sieve",)),
+    ):
+        copy = pickle.loads(pickle.dumps(request))
+        assert copy == request
+        assert copy.fingerprint() == request.fingerprint()
+
+
+def test_sweeps_take_any_named_target_but_no_file():
+    request = SweepRequest(workloads=["sieve"], ca_values=[0.97])
+    assert request.workloads == ("sieve",)
+    payload = api_mod.execute_sweep(request)
+    assert "sieve" in payload["artifacts"]["table2"]
+    for bad in (["gcc95"], ["examples/running_example.mc"], ["gen:nonsense"]):
+        with pytest.raises(ValueError, match="target"):
+            SweepRequest(workloads=bad)
+
+
+# -- job retention -----------------------------------------------------------
+
+
+def test_finished_jobs_are_evicted_oldest_first(monkeypatch):
+    """With room for three finished jobs, five finished jobs leave the
+    last three; a running job is never evicted."""
+    monkeypatch.setattr(daemon_mod, "RETAINED_JOBS", 3)
+    gate = threading.Event()
+
+    def gated(request, cache):
+        if request.target == "sieve":
+            assert gate.wait(30)
+        return {}
+
+    monkeypatch.setattr(daemon_mod, "execute_request", gated)
+    service = AnalysisService(jobs=2)
+    try:
+        running, _ = service.submit(_request(target="sieve"))
+        finished = [
+            service.wait(
+                service.submit(_request(target=f"gen:seed={seed}"))[0], 30
+            )
+            for seed in range(5)
+        ]
+        assert [j.id for j in service.jobs()] == [running.id] + [
+            j.id for j in finished[2:]
+        ]
+        assert service.job(finished[0].id) is None
+        assert service.job(running.id) is running
+    finally:
+        gate.set()
+        service.shutdown()
+
+
+def test_evicted_job_is_404(monkeypatch):
+    monkeypatch.setattr(daemon_mod, "RETAINED_JOBS", 1)
+    service = AnalysisService(jobs=1)
+    server = make_server("127.0.0.1", 0, service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        first = client.submit(_request(check=False))["job"]
+        client.wait(first)
+        second = client.submit(_request(check=True))["job"]
+        client.wait(second)
+        with pytest.raises(ServiceError) as exc:
+            client.job(first)
+        assert exc.value.status == 404
+        assert [j["id"] for j in client.jobs()] == [second]
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown()
+        thread.join(timeout=10)
+
+
+def test_jobs_list_in_submission_order(monkeypatch):
+    monkeypatch.setattr(daemon_mod, "execute_request", lambda request, cache: {})
+    service = AnalysisService(jobs=1)
+    server = make_server("127.0.0.1", 0, service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        ids = [
+            client.submit(_request(target=f"gen:seed={seed}"))["job"]
+            for seed in range(12)
+        ]
+        for job_id in ids:
+            client.wait(job_id)
+        assert ids == [f"job-{i}" for i in range(1, 13)]
+        assert [j["id"] for j in client.jobs()] == ids
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.shutdown()
+        thread.join(timeout=10)
+
+
+# -- CLI parity with the daemon ----------------------------------------------
+
+
+def _write_running_example(tmp_path):
+    path = tmp_path / "running_example.mc"
+    with open("examples/running_example.mc") as f:
+        path.write_text(f.read())
+    return path
+
+
+#: A program ``main()`` runs without arguments or inputs.
+NO_ARGS_SOURCE = """
+func main() {
+  var i = 0;
+  var s = 0;
+  while (i < 40) {
+    var c = 1;
+    if (i == 9) { c = 0; }
+    if (c) { s = s + 2; } else { s = s + 1; }
+    i = i + 1;
+  }
+  print(s);
+  return s;
+}
+"""
+
+RUNNING_EXAMPLE_ARGS = [
+    "--args", "2",
+    "--input", "sel1=1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+    "--input", "sel2=1,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0",
+    "--input", "cont=0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0",
+]
+
+
+def _file_fields(path):
+    return {
+        "source": path.read_text(),
+        "name": str(path),
+        "args": (2,),
+        "inputs": {
+            "sel1": [1] + [0] * 15,
+            "sel2": [1] + [0] * 7 + [1] + [0] * 7,
+            "cont": [0] * 8 + [1] + [0] * 7,
+        },
+    }
+
+
+def test_cli_file_targets_match_the_daemon(served, tmp_path, capsys):
+    """A MiniC file given to ``repro lint``/``repro report`` becomes the
+    same request the daemon answers: same findings, same numbers."""
+    from repro.cli import main
+
+    _, client = served
+    path = _write_running_example(tmp_path)
+    fields = _file_fields(path)
+
+    assert main(["lint", str(path), *RUNNING_EXAMPLE_ARGS, "--json"]) == 0
+    cli_lint = json.loads(capsys.readouterr().out)
+    daemon_lint = client.analyze(LintRequest(**fields))
+    extra = ("target", "fingerprint", "suppressed")
+    assert daemon_lint["findings"]
+    assert [
+        {k: v for k, v in f.items() if k not in extra}
+        for f in cli_lint["findings"]
+    ] == daemon_lint["findings"]
+    assert {f["target"] for f in cli_lint["findings"]} == {str(path)}
+
+    # ``report`` takes no --args/--input, so its file runs on none.
+    no_args = tmp_path / "loop.mc"
+    no_args.write_text(NO_ARGS_SOURCE)
+    assert main(["report", str(no_args)]) == 0
+    table = capsys.readouterr().out.split("stage spans:")[0]
+    payload = client.analyze(
+        AnalysisRequest(
+            source=NO_ARGS_SOURCE, name=str(no_args), check=False, table2=True
+        )
+    )
+    summary = payload["summary"]
+    rows = dict(
+        [cell.strip() for cell in line.split("|")]
+        for line in table.splitlines()[3:]
+        if "|" in line
+    )
+    assert rows == {
+        "CFG nodes": str(summary["cfg_nodes"]),
+        "executed paths (train)": str(summary["executed_paths"]),
+        "hot paths (CA=0.97)": str(summary["hot_paths"]),
+        "traced vertices": str(summary["graph_sizes"]["traced"]),
+        "reduced vertices": str(summary["graph_sizes"]["reduced"]),
+        "WZ non-local constants": str(
+            summary["sharpening"]["iterative_nonlocal"]
+        ),
+        "qualified non-local constants": str(
+            summary["sharpening"]["qualified_nonlocal"]
+        ),
+        "base cost": str(summary["table2"]["base_cost"]),
+        "optimized cost": str(summary["table2"]["optimized_cost"]),
+        "speedup": f"{summary['table2']['speedup']:.3f}x",
+    }
