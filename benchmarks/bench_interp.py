@@ -2,10 +2,23 @@
 
 Every figure and table above replays the workloads through the interpreter,
 so its instructions-per-second is the number that bounds the whole harness.
-This bench runs the ``li95`` ref input and the running example through both
-execution engines, reports throughput, asserts the block-compiled fast path
-is at least 3x the tree-walking reference on ``li95``, and writes
+This bench runs the ``li95`` ref input, the running example and a long
+generated train run through both execution engines, reports throughput,
+asserts the block-compiled fast path is at least 3x the tree-walking
+reference on ``li95`` and on the running example, and writes
 ``BENCH_interp.json`` so future PRs can track the trajectory mechanically.
+
+Each repetition builds a fresh ``Interpreter`` and times its ``run``, the
+span perfbench counts as ``interp.run_s``: the micro-op loop, and for a
+function that runs long enough the tier-up, the compile of its generated
+code and the generated code itself.  The lowering happens when the
+``Interpreter`` is built and is reported separately as
+``compile_seconds``.  ``li95`` and ``long_train`` tier up in every
+repetition; the running example never does, so its figure bounds the
+micro-op loop alone.  The ``long_train`` case is shaped like perfbench's
+profile-heavy programs (one generated function of about 40 blocks, a train
+input of about 310k instructions, ``profile_mode="bl"`` without site
+statistics).
 """
 
 import time
@@ -15,6 +28,8 @@ from repro.frontend import compile_program
 from repro.interp import Interpreter
 from repro.obs import capture
 from repro.workloads import (
+    GeneratorSpec,
+    generated_workload,
     get_workload,
     running_example_module,
     training_run_inputs,
@@ -24,6 +39,11 @@ from conftest import once
 
 ENGINES = ("reference", "compiled")
 MIN_LI95_SPEEDUP = 3.0
+#: Floor for the running example, which never leaves the micro-op loop
+#: (the only tier organic-cold's short runs use).  Its best-of-3 speedup
+#: ranged 3.3–4.6x over 20 measurements on a shared 2-core Linux host,
+#: both before and after the generated tier was added.
+MIN_LOOP_SPEEDUP = 3.0
 #: The disabled-observability default (what every test and benchmark runs
 #: under) may cost at most this fraction of throughput relative to a run
 #: with full tracing+metrics enabled.  Disabled instrumentation being *no
@@ -50,17 +70,31 @@ def _best_of(n, fn):
     return best, result
 
 
-def _measure(module, args, inputs, engine):
-    interp = Interpreter(
-        module, profile_mode="bl", track_sites=True, engine=engine
-    )
-    seconds, result = _best_of(3, lambda: interp.run(args, inputs))
+#: profile-heavy's shape: one function of about 40 blocks without inner
+#: loops; 2500 outer iterations make a train run of about 310k instructions.
+LONG_TRAIN_SPEC = GeneratorSpec(
+    seed=18, funcs=1, blocks_per_func=40, train_iters=2500, ref_iters=8
+)
+
+
+def _measure(module, args, inputs, engine, track_sites=True):
+    """Best of 3 ``run`` calls, each on a freshly built ``Interpreter``."""
+    runs = []
+    for _ in range(3):
+        interp = Interpreter(
+            module, profile_mode="bl", track_sites=track_sites, engine=engine
+        )
+        t0 = time.perf_counter()
+        result = interp.run(args, inputs)
+        elapsed = time.perf_counter() - t0
+        runs.append((elapsed, interp.engine_compile_time, result))
+    seconds, compile_seconds, result = min(runs, key=lambda r: r[0])
     return {
         "engine": engine,
         "seconds": seconds,
         "instructions": result.instr_count,
         "instructions_per_second": result.instr_count / seconds,
-        "compile_seconds": interp.engine_compile_time,
+        "compile_seconds": compile_seconds,
     }
 
 
@@ -75,6 +109,18 @@ def compute_bench_interp():
     n, inputs = training_run_inputs()
     cases["running_example"] = [
         _measure(running_example_module(), [n], inputs, engine)
+        for engine in ENGINES
+    ]
+    long_train = generated_workload(LONG_TRAIN_SPEC)
+    long_module = compile_program(long_train.source)
+    cases["long_train"] = [
+        _measure(
+            long_module,
+            long_train.train_args,
+            long_train.train_inputs,
+            engine,
+            track_sites=False,
+        )
         for engine in ENGINES
     ]
     for rows in cases.values():
@@ -171,12 +217,15 @@ def test_bench_interp(benchmark, record, record_json):
         ),
     )
     record_json("BENCH_interp", cases)
-    li95 = {m["engine"]: m for m in cases["li95"]}
-    assert li95["compiled"]["speedup"] >= MIN_LI95_SPEEDUP, (
-        f"compiled engine is only "
-        f"{li95['compiled']['speedup']:.2f}x the reference on li95 "
-        f"(need >= {MIN_LI95_SPEEDUP}x)"
-    )
+    for case, floor in (
+        ("li95", MIN_LI95_SPEEDUP),
+        ("running_example", MIN_LOOP_SPEEDUP),
+    ):
+        speedup = {m["engine"]: m for m in cases[case]}["compiled"]["speedup"]
+        assert speedup >= floor, (
+            f"compiled engine is only {speedup:.2f}x the reference on "
+            f"{case} (need >= {floor}x)"
+        )
 
 
 def test_bench_obs_overhead(benchmark, record_json):

@@ -37,6 +37,16 @@ form and replays runs over that form instead:
   through preallocated per-site arrays (execution counts, taint counts, and
   the capped observed-value lists) indexed by a compile-time site id, and
   materialized into :class:`SiteStats` objects only when the run finishes.
+* **Two tiers** — the micro-op loop below runs every activation first.  An
+  activation that has executed more than :data:`TIER_UP_FACTOR` times its
+  function's static instruction count switches, at its next recording
+  edge, to Python source generated from the same lowering
+  (:mod:`repro.interp.codegen`).  At a recording edge the Ball–Larus
+  register has just been flushed, so only the frame, the taint bits and the
+  target block move across.  The function is compiled once per
+  :class:`CompiledModule` and profile mode, and its later activations start
+  in generated code.  Short runs never pay the compile; long loops run
+  several times faster.
 
 Differential guarantees
 -----------------------
@@ -45,19 +55,22 @@ For every run that completes, the compiled engine produces a
 instruction count, cycle cost, block counts, path profiles, trace profiles,
 site statistics, and final memory (``tests/test_compiled_engine.py`` proves
 this on the running example and on every workload).  Trap behaviour matches
-on the same error classes and messages; the only deliberate divergences are
+on the same error classes and messages, in both tiers
+(``tests/test_generated_tier.py`` forces every activation into generated
+code and repeats the comparisons).  The only deliberate divergences are
 that traps interact with *partial* block state (costs are charged per block,
 not per instruction) and that the path register is per-activation here, so
 profiled recursion with calls mid-path works in this engine while the
 shared-state reference profiler rejects it.
 
 Modes ``"trace"`` and ``"both"`` keep using :class:`TraceProfiler` (the
-oracle is supposed to be the slow, obviously-correct reading); only the
-Ball–Larus side is baked into the tables.
+oracle is supposed to be the slow, obviously-correct reading) and never
+leave the micro-op loop; only the Ball–Larus side is baked into the tables.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Mapping, Optional, Sequence
 
@@ -123,6 +136,57 @@ _VAR_SLOT_POSITIONS = {
     _STORE_CV: (3,),
 }
 
+
+# -- strict run-time operators -------------------------------------------------
+#
+# Frames start as ``None``, and an undefined operand is diagnosed from the
+# ``TypeError`` that ``None`` provokes.  Python's ``==``/``!=`` and the early
+# returns for a zero divisor or a negative shift count never touch the
+# operand, so these variants do (``a - b``, ``a * 0``) while agreeing with
+# :mod:`repro.ir.ops` on every pair of ints.  ``ops.BINOPS`` itself stays as
+# it is: the constant folders share it and only ever see ints.
+
+_DIV = BINOPS["div"]
+_MOD = BINOPS["mod"]
+
+_STRICT_BINOPS = {
+    "eq": lambda a, b: 0 if a - b else 1,
+    "ne": lambda a, b: 1 if a - b else 0,
+    "div": lambda a, b: _DIV(a, b) if b != 0 else a * 0,
+    "mod": lambda a, b: _MOD(a, b) if b != 0 else a * 0,
+    "shl": lambda a, b: a << (b & 63) if b >= 0 else a * 0,
+    "shr": lambda a, b: a >> (b & 63) if b >= 0 else a * 0,
+}
+_STRICT_UNOPS = {"lnot": lambda a: 0 if a - 0 else 1}
+
+
+#: An activation in the micro-op loop switches to its function's generated
+#: tier (:mod:`repro.interp.codegen`) at a recording edge once it has
+#: executed more than ``TIER_UP_FACTOR`` times the function's static
+#: instruction count itself (callees excluded).
+#:
+#: This is ski rental: keep paying the loop's per-instruction cost until it
+#: adds up to the one-off cost of compiling, which is never worse than a
+#: small multiple of the better choice in hindsight.  The break-even factor
+#: is compile µs per static instruction ÷ loop µs per executed instruction.
+#: Measured over 20 perfbench programs per workload (seed 1, 2-core Linux
+#: host, CPython 3.11), with every function compiled at entry:
+#:
+#: * no site statistics (train and Table-2 runs): compile 28–57 µs per
+#:   static instruction, loop 0.22–0.66 µs and generated code 0.05–0.47 µs
+#:   per executed instruction; break-even ~145 on profile-heavy, ~100 on
+#:   organic-cold;
+#: * site statistics (ref runs): compile 73–150 µs, loop 0.27–0.64 µs,
+#:   generated code 0.13–0.63 µs; break-even 210–230.
+#:
+#: One factor serves both modes: 250, just above the largest break-even.
+#: Overshooting only delays the switch of long runs: a profile-heavy train
+#: function runs at most about a tenth of its instructions in the loop.
+#: Undershooting compiles functions of short runs that never repay it: over
+#: organic-cold's 108 seed-1 ops, 100 tiered up 132 functions (0.8 s of
+#: compile), 150 tiered up 48 and 250 none.
+TIER_UP_FACTOR = 250
+
 #: Builtin name -> (arity, implementation over a value list).
 _BUILTINS = {
     "abs": (1, lambda v: abs(v[0])),
@@ -148,6 +212,8 @@ class _CompiledFunction:
         "n_instr",
         "base_cost",
         "terms",
+        "tier_budget",
+        "generated",
     )
 
     def __init__(self, name: str) -> None:
@@ -257,6 +323,9 @@ def _compile_function(
     cf.n_instr = tuple(all_n)
     cf.base_cost = tuple(all_cost)
     cf.terms = tuple(all_terms)
+    cf.tier_budget = TIER_UP_FACTOR * sum(all_n)
+    #: Generated second tier by profile mode, filled on first tier-up.
+    cf.generated = {}
     return cf
 
 
@@ -273,7 +342,7 @@ def _compile_instr(
         return (_MOV_V, d, v, site) if is_var else (_MOV_C, d, v, site)
     if isinstance(instr, BinOp):
         d = slot[instr.dest]
-        f = BINOPS[instr.op]
+        f = _STRICT_BINOPS.get(instr.op) or BINOPS[instr.op]
         lv, l = _operand(instr.lhs, slot)
         rv, r = _operand(instr.rhs, slot)
         if lv and rv:
@@ -288,7 +357,8 @@ def _compile_instr(
         d = slot[instr.dest]
         is_var, v = _operand(instr.src, slot)
         if is_var:
-            return (_UN_V, d, UNOPS[instr.op], v, site)
+            f = _STRICT_UNOPS.get(instr.op) or UNOPS[instr.op]
+            return (_UN_V, d, f, v, site)
         return (_MOV_C, d, eval_unop(instr.op, v), site)
     if isinstance(instr, Load):
         aidx = array_index.get(instr.array)
@@ -395,6 +465,22 @@ class CompiledModule:
             )
             metrics.counter("interp_sites_tracked").inc(len(self.site_keys))
 
+    def tier_up(self, cf: _CompiledFunction, profile_mode: Optional[str]):
+        """The generated tier of ``cf`` for ``profile_mode``, compiled on
+        first use and kept on this module's lowering.
+
+        Two threads racing here at worst compile the same function twice.
+        """
+        gen = cf.generated.get(profile_mode)
+        if gen is None:
+            from .codegen import generate
+
+            gen = cf.generated[profile_mode] = generate(self, cf, profile_mode)
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("interp_functions_tiered").inc()
+        return gen
+
     def run(
         self,
         args: Sequence[int],
@@ -463,9 +549,18 @@ class _CompiledState:
         self.site_exec = [0] * n_sites
         self.site_taint = [0] * n_sites
         self.site_obs: list[list[int]] = [[] for _ in range(n_sites)]
-        #: Ball–Larus (start vertex, path id) -> count, per routine.
+        #: Ball–Larus (start block index, path id) -> count, per routine.
         self.bl_counts: dict[str, defaultdict[tuple, int]] = {}
         self.trace_profilers: dict[str, TraceProfiler] = {}
+        #: Only runs without the trace oracle reach the generated tier.
+        self.tiering = profile_mode is None or profile_mode == "bl"
+
+    def path_counts(self, name: str) -> defaultdict:
+        """The Ball–Larus path counters of routine ``name``."""
+        counts = self.bl_counts.get(name)
+        if counts is None:
+            counts = self.bl_counts[name] = defaultdict(int)
+        return counts
 
     # -- execution ---------------------------------------------------------
 
@@ -481,13 +576,21 @@ class _CompiledState:
         frame[: len(args)] = args
 
         mode = self.profile_mode
+        if self.tiering:
+            gen = cf.generated.get(mode)
+            if gen is not None:
+                return gen(self, frame, tnt, cf.entry_idx)
+            budget = cf.tier_budget
+        else:
+            budget = math.inf
+        # ``base`` starts at the count on entry and absorbs the callees'
+        # instructions, so ``instr_count - base`` is this activation's own.
+        base = self.instr_count
         do_bl = mode == "bl" or mode == "both"
         if do_bl:
-            counts = self.bl_counts.get(cf.name)
-            if counts is None:
-                counts = self.bl_counts[cf.name] = defaultdict(int)
+            counts = self.path_counts(cf.name)
             # The virtual entry edge is recording: it starts the first path.
-            bl_start: object = cf.entry_label
+            bl_start = cf.entry_idx
             bl_reg = 0
         tp = None
         if mode == "trace" or mode == "both":
@@ -632,9 +735,12 @@ class _CompiledState:
                         if o == _STORE_VV or o == _STORE_CV:
                             v = frame[v]
                             if v is None:
+                                # Like the reference, name an undefined
+                                # index before an undefined value.
+                                undefined = op[2] if i is None else op[3]
                                 raise Trap(
                                     f"use of undefined variable "
-                                    f"{slot_names[op[3]]!r}"
+                                    f"{slot_names[undefined]!r}"
                                 )
                         mem = mems[aidx]
                         if not 0 <= i < len(mem):
@@ -656,7 +762,9 @@ class _CompiledState:
                                 x = frame[x]
                             vals.append(x)
                         if o == _CALL_USER:
+                            before = self.instr_count
                             ret = self.call(cfuncs[callee], vals)
+                            base += self.instr_count - before
                             if d >= 0 and ret is None:
                                 raise Trap(
                                     f"{callee} returned no value but one is used"
@@ -728,15 +836,21 @@ class _CompiledState:
 
             nidx, cost_d, rec, bl_val, v_label = entry
             self.cost += cost_d
-            if do_bl:
-                if rec:
-                    counts[(bl_start, bl_reg + bl_val)] += 1
-                    bl_start = v_label
-                    bl_reg = 0
-                else:
-                    bl_reg += bl_val
             if tp is not None:
                 tp.edge(labels[idx], v_label)
+            if rec:
+                if do_bl:
+                    counts[(bl_start, bl_reg + bl_val)] += 1
+                    bl_start = nidx
+                    bl_reg = 0
+                # A recording edge has just flushed the path register, so
+                # only the frame, the taint bits and the target block carry
+                # over into the generated tier.
+                if self.instr_count - base > budget:
+                    gen = self.cmod.tier_up(cf, mode)
+                    return gen(self, frame, tnt, nidx)
+            elif do_bl:
+                bl_reg += bl_val
             idx = nidx
 
     # -- readout -----------------------------------------------------------
@@ -747,9 +861,10 @@ class _CompiledState:
         if self.profile_mode in ("bl", "both"):
             for name in self.activated:
                 numbering = cmod.numberings[name]
+                labels = cmod.functions[name].labels
                 profile = PathProfile()
                 for (start, pid), count in self.bl_counts.get(name, {}).items():
-                    profile.add(numbering.regenerate(start, pid), count)
+                    profile.add(numbering.regenerate(labels[start], pid), count)
                 profiles[name] = profile
         trace_profiles = {
             name: tp.profile() for name, tp in self.trace_profilers.items()

@@ -27,6 +27,21 @@ RESULT_FIELDS = (
 )
 
 
+#: Reads of ``y`` that Python evaluates without touching an undefined
+#: (``None``) operand: equality, logical not, and the early returns for a
+#: zero divisor or a negative shift count.
+UNDEFINED_OPERAND_EXPRS = (
+    "y == 1",
+    "3 == y",
+    "y != 1",
+    "!y",
+    "y / n",
+    "y % n",
+    "y << (n - 1)",
+    "y >> (n - 1)",
+)
+
+
 def module_of(fn, arrays=()):
     m = Module()
     for decl in arrays:
@@ -95,6 +110,23 @@ class TestTrapEquivalence:
         b.binop("x", "add", "ghost", 1)
         b.ret("x")
         self._trap_both(module_of(b.finish()), match="undefined variable")
+
+    @pytest.mark.parametrize("expr", UNDEFINED_OPERAND_EXPRS)
+    def test_undefined_operand_skipped_by_python(self, expr):
+        """A variable declared in one branch and read after it is undefined
+        when the branch is skipped, whichever operator reads it."""
+        source = f"func main(n) {{ if (n) {{ var y = 1; }} return {expr}; }}"
+        self._trap_both(
+            compile_program(source), [0], match="undefined variable 'y'"
+        )
+
+    def test_undefined_store_index_named_before_value(self):
+        b = IRBuilder("main")
+        b.block("entry")
+        b.store("a", "ghost_index", "ghost_value")
+        b.ret(0)
+        m = module_of(b.finish(), [ArrayDecl("a", 4)])
+        self._trap_both(m, match="'ghost_index'")
 
     def test_out_of_bounds_load(self):
         b = IRBuilder("main", ["i"])

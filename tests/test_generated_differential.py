@@ -32,7 +32,7 @@ from repro.dataflow.problems import (
     VeryBusyExpressions,
 )
 from repro.frontend import compile_program
-from repro.interp import Interpreter
+from repro.interp import Interpreter, compiled
 from repro.workloads.generate import (
     GEN_PRESETS,
     GeneratorSpec,
@@ -40,6 +40,7 @@ from repro.workloads.generate import (
 )
 
 from test_compiled_engine import assert_results_equal
+from test_generated_tier import tiered_matches_reference
 
 SEPARABLE = (
     lambda view: ReachingDefinitions(view.params, view.cfg.entry),
@@ -69,6 +70,19 @@ def assert_workload_parity(wl, *, strategies=("rpo",)):
                 c = solve(make(view), view, engine="compiled", strategy=strategy)
                 assert c.value_in == g.value_in, (fn.name, make(view), strategy)
                 assert c.value_out == g.value_out, (fn.name, make(view), strategy)
+
+
+def assert_generated_tier_parity(wl):
+    """Interpreter parity with every activation pushed into the compiled
+    engine's generated tier at its first recording edge."""
+    module = compile_program(wl.source)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled, "TIER_UP_FACTOR", 0)
+        for track_sites in (False, True):
+            tiered_matches_reference(
+                module, wl.train_args, wl.train_inputs,
+                profile_mode="bl", track_sites=track_sites,
+            )
 
 
 #: Small random shapes: enough structure to exercise branches, loops, and
@@ -109,6 +123,15 @@ def test_random_generated_programs_hold_parities_all_strategies(spec):
     )
 
 
+@settings(
+    max_examples=10, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=gen_specs)
+def test_random_generated_programs_in_generated_tier(spec):
+    assert_generated_tier_parity(generated_workload(spec))
+
+
 def test_gen_small_preset_parity():
     """One registered preset stays in the fast tier as a smoke anchor."""
     assert_workload_parity(
@@ -125,3 +148,9 @@ def test_preset_parity_sweep(name):
         generated_workload(GEN_PRESETS[name], name),
         strategies=SOLVER_STRATEGIES,
     )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(GEN_PRESETS))
+def test_preset_generated_tier_parity(name):
+    assert_generated_tier_parity(generated_workload(GEN_PRESETS[name], name))
