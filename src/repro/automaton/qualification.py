@@ -109,10 +109,6 @@ class QualificationAutomaton:
         """Length of the hot-path prefix recognized at ``state``."""
         return self.trie.depth(state)
 
-    def is_hot_prefix(self, state: int) -> bool:
-        """True if ``state`` lies on some hot path's spine (is not qε)."""
-        return state != self.q_epsilon
-
     def hot_path_at(self, state: int) -> BLPath | None:
         """The hot path whose trimmed spine ends exactly at ``state``."""
         return self._hot_end_states.get(state)

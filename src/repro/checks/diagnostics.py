@@ -255,10 +255,6 @@ class Diagnostics:
     def has_errors(self) -> bool:
         return any(d.severity >= Severity.ERROR for d in self._records)
 
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        return max((d.severity for d in self._records), default=None)
-
     def codes(self) -> set[str]:
         return {d.code for d in self._records}
 

@@ -30,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from typing import Optional, Sequence
 
 from .core import run_qualified
@@ -592,8 +592,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _lint_job(request, cache_dir: Optional[str]) -> list[dict]:
-    """One lint request's findings (module level, so ``--jobs`` can map it
-    over a process pool)."""
+    """One lint request's findings (module level, so ``--jobs`` can fan it
+    out over a process pool)."""
     from .pipeline import ArtifactCache
     from .service.api import execute_lint
 
@@ -601,9 +601,6 @@ def _lint_job(request, cache_dir: Optional[str]) -> list[dict]:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from concurrent.futures import ProcessPoolExecutor
-    from itertools import repeat
-
     from .analyze import (
         Baseline,
         finding_fingerprint,
@@ -614,6 +611,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         write_sarif,
     )
     from .checks.diagnostics import Diagnostic, Diagnostics
+    from .pipeline.driver import fan_out
     from .service.api import LintRequest
     from .workloads import WORKLOAD_NAMES
 
@@ -633,13 +631,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if t != "running_example"
     }
     findings: dict[str, list] = {}
-    with _capture(args), ExitStack() as stack:
-        mapper = map
-        if args.jobs > 1 and len(requests) > 1:
-            mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=args.jobs)
-            ).map
-        results = mapper(_lint_job, requests.values(), repeat(args.cache_dir))
+    jobs = [(request, args.cache_dir) for request in requests.values()]
+    with _capture(args), closing(fan_out(args.jobs, _lint_job, jobs)) as results:
         for t in requests:
             try:
                 findings[t] = [Diagnostic.from_dict(d) for d in next(results)]

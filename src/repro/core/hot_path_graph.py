@@ -47,11 +47,6 @@ class TracedGraph:
         self.recording = recording
 
     @staticmethod
-    def original_vertex(vertex: HpgVertex) -> OrigVertex:
-        """The original CFG vertex a traced vertex duplicates."""
-        return vertex[0]
-
-    @staticmethod
     def state(vertex: HpgVertex) -> int:
         """The automaton state encoded in a traced vertex."""
         return vertex[1]

@@ -18,7 +18,7 @@ facts), so repeated solves over the same view produce identical masks.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 from .framework import priority_order
 
@@ -29,25 +29,6 @@ Vertex = Hashable
 _BYTE_BITS = tuple(
     tuple(i for i in range(8) if b >> i & 1) for b in range(256)
 )
-
-
-def bit_positions(mask: int) -> Iterator[int]:
-    """The set bit indices of ``mask``, ascending.
-
-    Scans the mask byte-wise through a 256-entry offset table.  The obvious
-    lowest-set-bit loop (``mask & -mask`` + ``bit_length`` + ``xor``) costs
-    O(words) big-int work *per set bit* — quadratic on the wide, dense masks
-    organic programs produce — whereas one ``to_bytes`` conversion plus a
-    byte loop is O(words + popcount).
-    """
-    if not mask:
-        return
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        if byte:
-            for off in _BYTE_BITS[byte]:
-                yield base + off
-        base += 8
 
 
 class FactIndex:

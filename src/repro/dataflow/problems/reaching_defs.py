@@ -71,12 +71,3 @@ class ReachingDefinitions(DataflowProblem[frozenset]):
             self, view, meet="union", lower_block=lower,
             fact_vars=lambda d: (d[2],),
         )
-
-
-def definitions_of(block: BasicBlock, vertex: Vertex) -> tuple[Definition, ...]:
-    """All definitions made by ``block`` (not just the last per variable)."""
-    return tuple(
-        (vertex, idx, instr.dest)
-        for idx, instr in enumerate(block.instrs)
-        if instr.dest is not None
-    )

@@ -437,59 +437,56 @@ class WorkloadRun:
 
     def build_base_module(self) -> Module:
         """Original CFG + Wegman–Zadek folding + DCE + layout."""
-        out = self._fresh_module()
-        for name, fn in self.module.functions.items():
-            qa = self.qualified(0.0)[name]
-            folded = fold_function(fn, qa.baseline)
-            eliminate_dead_code(folded)
-            straighten(folded)
-            freqs = {
-                (u, v): c
-                for (u, v), c in self.train_profile(name).edge_frequencies().items()
-                if u in folded.blocks and v in folded.blocks
-            }
-            layout_function(folded, freqs)
-            out.add_function(folded)
-        validate_module(out)
-        return out
+        return self._finish_module(
+            (
+                fold_function(fn, self.qualified(0.0)[name].baseline),
+                self.train_profile(name).edge_frequencies(),
+            )
+            for name, fn in self.module.functions.items()
+        )
 
     def build_optimized_module(
         self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
     ) -> Module:
         """Reduced hot-path graph + qualified folding + DCE + layout."""
-        out = self._fresh_module()
-        for name, fn in self.module.functions.items():
+
+        def built(name: str, fn):
             qa = self.qualified(ca, cr)[name]
-            if qa.traced:
-                reduced = qa.reduced
-                optimized = materialize(reduced, qa.reduced_analysis, fold=True)
-                labels = vertex_labels(reduced)
-                freqs = edge_frequencies_from_labels(
-                    qa.reduced_profile.edge_frequencies(), labels
+            if not qa.traced:
+                return (
+                    fold_function(fn, qa.baseline),
+                    self.train_profile(name).edge_frequencies(),
                 )
-                freqs = {
+            reduced = qa.reduced
+            return (
+                materialize(reduced, qa.reduced_analysis, fold=True),
+                edge_frequencies_from_labels(
+                    qa.reduced_profile.edge_frequencies(), vertex_labels(reduced)
+                ),
+            )
+
+        return self._finish_module(
+            built(name, fn) for name, fn in self.module.functions.items()
+        )
+
+    def _finish_module(self, builds) -> Module:
+        """The tail both Table-2 builds share: DCE, straighten and lay out
+        each ``(function, edge frequencies)`` build, keeping only the edges
+        between blocks that survived (both passes only delete blocks), into
+        a validated module with the original's arrays."""
+        out = self._fresh_module()
+        for fn, freqs in builds:
+            eliminate_dead_code(fn)
+            straighten(fn)
+            layout_function(
+                fn,
+                {
                     (u, v): c
                     for (u, v), c in freqs.items()
-                    if u in optimized.blocks and v in optimized.blocks
-                }
-            else:
-                optimized = fold_function(fn, qa.baseline)
-                freqs = {
-                    (u, v): c
-                    for (u, v), c in self.train_profile(name)
-                    .edge_frequencies()
-                    .items()
-                    if u in optimized.blocks and v in optimized.blocks
-                }
-            eliminate_dead_code(optimized)
-            straighten(optimized)
-            freqs = {
-                (u, v): c
-                for (u, v), c in freqs.items()
-                if u in optimized.blocks and v in optimized.blocks
-            }
-            layout_function(optimized, freqs)
-            out.add_function(optimized)
+                    if u in fn.blocks and v in fn.blocks
+                },
+            )
+            out.add_function(fn)
         validate_module(out)
         return out
 

@@ -52,6 +52,15 @@ _PRECEDENCE = {
     "%": 10,
 }
 
+#: Deepest nesting the parser accepts.  Each block, expression (a
+#: parenthesised one, a call argument, an index, a condition), unary
+#: operator and ``else if`` arm opens one level inside its enclosing one.
+#: The parser, the semantic checks and the lowering all recurse once or
+#: more per level, and Python's recursion limit stopped them somewhere past
+#: 240 nested parentheses; this bound turns such programs into a
+#: :class:`MiniCError` well before that.
+MAX_NESTING = 100
+
 
 class Parser:
     """A single-use parser over a token stream."""
@@ -59,6 +68,7 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -86,6 +96,15 @@ class Parser:
                 f"expected {kind!r}, got {tok.text!r}", tok.line
             )
         return self.advance()
+
+    def nest(self) -> None:
+        """Open one nesting level at the next token (the caller closes it
+        by decrementing ``depth``; an error ends the parse anyway)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MiniCError(
+                f"nesting deeper than {MAX_NESTING} levels", self.peek().line
+            )
 
     # -- top level ------------------------------------------------------------
 
@@ -142,11 +161,13 @@ class Parser:
     # -- statements ---------------------------------------------------------------
 
     def _block(self) -> tuple[Stmt, ...]:
+        self.nest()
         self.expect("{")
         stmts: list[Stmt] = []
         while not self.check("}"):
             stmts.append(self._statement())
         self.expect("}")
+        self.depth -= 1
         return tuple(stmts)
 
     def _statement(self) -> Stmt:
@@ -201,7 +222,9 @@ class Parser:
         else_body: tuple[Stmt, ...] = ()
         if self.accept("else"):
             if self.check("if"):
+                self.nest()
                 else_body = (self._if_stmt(),)
+                self.depth -= 1
             else:
                 else_body = self._block()
         return IfStmt(cond, then_body, else_body, line)
@@ -262,7 +285,10 @@ class Parser:
     # -- expressions ----------------------------------------------------------------
 
     def _expression(self) -> Expr:
-        return self._binary(0)
+        self.nest()
+        expr = self._binary(0)
+        self.depth -= 1
+        return expr
 
     def _binary(self, min_prec: int) -> Expr:
         lhs = self._unary()
@@ -279,7 +305,10 @@ class Parser:
         tok = self.peek()
         if tok.kind in ("-", "!", "~"):
             self.advance()
-            return UnaryExpr(tok.kind, self._unary(), tok.line)
+            self.nest()
+            operand = self._unary()
+            self.depth -= 1
+            return UnaryExpr(tok.kind, operand, tok.line)
         return self._primary()
 
     def _primary(self) -> Expr:

@@ -80,10 +80,6 @@ class SiteStats:
         """True if every execution produced the same value."""
         return len(self.observed) <= 1
 
-    @property
-    def ever_tainted(self) -> bool:
-        return self.tainted_executions > 0
-
 
 @dataclass
 class RunResult:

@@ -117,10 +117,6 @@ class Cfg:
     def num_vertices(self) -> int:
         return len(self._succs)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(s) for s in self._succs.values())
-
     def real_vertices(self) -> tuple[Vertex, ...]:
         """Vertices excluding the virtual entry and exit."""
         return tuple(v for v in self._succs if v not in (self.entry, self.exit))

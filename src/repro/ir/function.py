@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .basic_block import BasicBlock
-from .instructions import Branch, Instr, Jump, Ret
+from .instructions import Instr, Ret
 from .operands import Var
 
 
@@ -162,13 +162,3 @@ class Module:
         ]
         parts.extend(str(fn) for fn in self.functions.values())
         return "\n\n".join(parts)
-
-
-def single_jump_block(label: str, target: str) -> BasicBlock:
-    """A block containing only ``jump target`` (useful in tests)."""
-    return BasicBlock(label, [], Jump(target))
-
-
-def is_two_way(block: BasicBlock) -> bool:
-    """True if the block ends in a conditional branch."""
-    return isinstance(block.terminator, Branch)

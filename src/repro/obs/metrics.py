@@ -213,9 +213,9 @@ class MetricsRegistry:
 
 
 def diff_snapshots(new: Mapping, old: Mapping) -> dict:
-    """Instrument-wise ``new - old`` — the delta a worker reports after a
-    job so re-used processes never double-count.  Gauges pass through as
-    their latest value (deltas are meaningless for them)."""
+    """Instrument-wise ``new - old`` between two snapshots of one registry.
+    Gauges pass through as their latest value (deltas are meaningless for
+    them)."""
     out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     old_counters = old.get("counters", {})
     for key, value in new.get("counters", {}).items():

@@ -27,10 +27,11 @@ The active-span stack is thread-local (concurrent threads nest their spans
 independently) and the finished-span list is guarded by a lock.  Spans
 travel across process boundaries as plain dicts (:meth:`Span.to_record`);
 :meth:`Tracer.absorb_records` folds a worker's spans back into the parent
-trace, re-parenting the worker's roots under a chosen span so the merged
-tree stays connected.  Span ids embed the originating pid, so merged ids
-never collide.  ``start`` values are per-process monotonic clocks — only
-durations, never absolute starts, are comparable across processes.
+trace (and its streaming listeners), re-parenting the worker's roots under
+a chosen span so the merged tree stays connected.  Span ids embed the
+originating pid, so merged ids never collide.  ``start`` values are
+per-process monotonic clocks — only durations, never absolute starts, are
+comparable across processes.
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ class Tracer:
         """Merge spans recorded elsewhere (another process or tracer).
 
         Roots among ``records`` (spans without a parent) are re-parented
-        under ``parent_id`` so the merged trace renders as one tree.
+        under ``parent_id`` so the merged trace renders as one tree.  The
+        listeners see each absorbed span, as if it had finished here.
         """
         spans = [Span.from_record(r) for r in records]
         if parent_id is not None:
@@ -269,6 +271,9 @@ class Tracer:
                     span.parent_id = parent_id
         with self._lock:
             self._finished.extend(spans)
+        if self._listeners:
+            for span in spans:
+                self._notify(span)
 
     def clear(self) -> None:
         with self._lock:

@@ -340,11 +340,6 @@ class ArtifactCache:
         metrics.counter("cache_hits", kind=kind, level=hit_level).inc()
         return value
 
-    def contains(self, kind: str, key: str) -> bool:
-        if (kind, key) in self._memory:
-            return True
-        return self.root is not None and self._path(kind, key).exists()
-
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of the statistics, safe to take while other
         threads are actively counting into this cache."""

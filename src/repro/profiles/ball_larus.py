@@ -24,7 +24,7 @@ the trace-splitting oracle of :func:`~repro.profiles.path_profile.split_trace`.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from ..ir.cfg import Cfg, Edge
 from .path_profile import BLPath
@@ -164,14 +164,6 @@ class BallLarusNumbering:
             w = self._rec[v][pid]
             vertices.append(w)
             return BLPath(tuple(vertices))
-
-    def all_paths_from(self, start: Vertex) -> Iterator[BLPath]:
-        """All Ball–Larus paths from ``start`` in id order.
-
-        Potentially exponential; intended for tests and tiny graphs.
-        """
-        for pid in range(self._num_paths.get(start, 0)):
-            yield self.regenerate(start, pid)
 
     @property
     def total_potential_paths(self) -> int:

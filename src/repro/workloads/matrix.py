@@ -32,14 +32,14 @@ measures a speedup on a 1k-vertex organic graph has, in the same breath,
 proven both fast paths equivalent to their oracles on that graph.
 
 Phases follow the infra ``build/run/report`` split: :func:`build_targets`
-compiles and validates, :func:`ParallelDriver.suite` (or :func:`run_suite`)
-executes cells — serially or over the driver's process pool — and
-:func:`load_archived` + :meth:`MatrixResult.report` re-render results from
-the content-addressed archive without recomputation.  Every completed cell
-is archived under ``<archive_dir>/<key[:2]>/<key>.json`` where ``key``
-hashes the target source, both data sets, and the full instance
-configuration — identical cells collide into one file, so archives are
-incremental across sessions.
+compiles and validates, :meth:`repro.pipeline.ParallelDriver.suite` executes
+cells (:func:`run_cell`, one job per cell) inline or over the driver's
+process pool, and :func:`load_archived` + :meth:`MatrixResult.report`
+re-render results from the content-addressed archive without
+recomputation.  Every completed cell is archived under
+``<archive_dir>/<key[:2]>/<key>.json`` where ``key`` hashes the target
+source, both data sets, and the full instance configuration — identical
+cells collide into one file, so archives are incremental across sessions.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "load_archived",
     "resolve_target",
     "run_cell",
-    "run_suite",
 ]
 
 
@@ -665,37 +664,6 @@ def build_targets(targets: Sequence[str]) -> str:
         rows,
         title="Suite build: compiled and validated targets",
     )
-
-
-# ---------------------------------------------------------------------------
-# run phase (serial; the ParallelDriver fans the same job out over a pool)
-# ---------------------------------------------------------------------------
-
-
-def run_suite(
-    targets: Sequence[str],
-    instances: Sequence[Instance],
-    cache_dir: Optional[str] = None,
-    archive_dir: Optional[str] = None,
-) -> MatrixResult:
-    """Run every cell serially (deterministic reference path).
-
-    :meth:`repro.pipeline.ParallelDriver.suite` produces an identical
-    :class:`MatrixResult` over a process pool.
-    """
-    result = MatrixResult(
-        targets=tuple(targets),
-        instances=tuple(i.name for i in instances),
-    )
-    with get_tracer().span(
-        "suite.run", targets=len(result.targets), instances=len(result.instances)
-    ):
-        for target in result.targets:
-            for instance in instances:
-                result.cells[(target, instance.name)] = run_cell(
-                    target, instance, cache_dir, archive_dir
-                )
-    return result
 
 
 def resolve_instances(names: Iterable[str]) -> tuple[Instance, ...]:

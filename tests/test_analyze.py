@@ -436,6 +436,34 @@ class TestLintCli:
         assert set(targets) == set(order)
         assert targets == sorted(targets, key=order.index)
 
+    def test_jobs_do_not_change_the_trace(self, capsys, tmp_path):
+        """Workers ship their spans and metrics back, so a ``--jobs 2``
+        trace holds the same metrics and counter values as a serial one,
+        and each span once (three targets: one worker runs two jobs)."""
+        spans, metrics = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"trace-{jobs}.jsonl"
+            argv = ["lint", "compress95", "go95", "li95", "--jobs", jobs]
+            assert main(argv + ["--trace-out", str(out)]) == 0
+            capsys.readouterr()
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            spans[jobs] = [r for r in records if r["type"] == "span"]
+            # Metric names and labels, with the value of each counter.
+            metrics[jobs] = {
+                (r["type"], r["name"], json.dumps(r["labels"], sort_keys=True)):
+                    r["value"] if r["type"] == "counter" else None
+                for r in records
+                if r["type"] != "span"
+            }
+        assert metrics["2"] == metrics["1"]
+        assert any(key[0] == "counter" for key in metrics["1"])
+        for trace in spans.values():
+            ids = [s["span_id"] for s in trace]
+            assert ids and len(ids) == len(set(ids))
+        assert sorted(s["name"] for s in spans["2"]) == sorted(
+            s["name"] for s in spans["1"]
+        )
+
 
 # ---------------------------------------------------------------------------
 # service parity (/v1/lint)

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.frontend import MiniCError, compile_program, parse_program, tokenize
+from repro.frontend.parser import MAX_NESTING
 from repro.interp import run_module
 from repro.ir import validate_module
 
@@ -270,3 +271,76 @@ class TestLoweringSemantics:
         }
         """
         validate_module(compile_program(src))
+
+
+# -- the nesting bound --------------------------------------------------------
+
+
+def nested(kind, levels):
+    """A program whose deepest token sits ``levels`` nesting levels down:
+    the function body is one level and its return expression another, each
+    parenthesis or unary minus opens one more, and so does each ``if``
+    body (the innermost condition sits as deep as the body it guards)."""
+    if kind == "paren":
+        k = levels - 2
+        body = "return " + "(" * k + "n" + ")" * k + ";"
+    elif kind == "neg":
+        body = "return " + "-" * (levels - 2) + "n;"
+    else:
+        k = levels - 1
+        body = "if (n) { " * k + "} " * k + "return n;"
+    return f"func main(n) {{\n  var x = 0;\n  {body}\n}}\n"
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("kind", ["paren", "neg", "if"])
+    def test_limit_compiles_and_one_more_level_fails(self, kind):
+        module = compile_program(nested(kind, MAX_NESTING))
+        validate_module(module)
+        with pytest.raises(MiniCError, match="nesting deeper than") as exc:
+            compile_program(nested(kind, MAX_NESTING + 1))
+        assert exc.value.line == 3  # the line holding the deep construct
+
+    @pytest.mark.parametrize(
+        "kind, levels", [("paren", 3000), ("if", 600), ("neg", 600)]
+    )
+    def test_far_too_deep_is_a_minic_error(self, kind, levels):
+        with pytest.raises(MiniCError, match="nesting deeper than"):
+            compile_program(nested(kind, levels))
+
+    def test_else_if_arms_nest(self):
+        chain = " else ".join(f"if (n == {i}) {{ x = {i}; }}" for i in range(600))
+        with pytest.raises(MiniCError, match="nesting deeper than"):
+            compile_program(f"func main(n) {{ var x = 0; {chain} return x; }}")
+
+    def test_every_target_and_preset_compiles(self):
+        from repro.workloads.generate import GEN_PRESETS
+        from repro.workloads.matrix import TARGET_NAMES, resolve_target
+
+        assert set(GEN_PRESETS) <= set(TARGET_NAMES)
+        for name in TARGET_NAMES:
+            validate_module(compile_program(resolve_target(name).source))
+
+    def test_cli_check_prints_one_line(self, tmp_path):
+        from repro.cli import main
+
+        deep = tmp_path / "deep.mc"
+        deep.write_text(nested("paren", 3000))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(deep)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message, message
+        assert message.startswith(f"repro check: {deep}: line 3: nesting")
+
+    def test_daemon_job_error_is_a_minic_error(self):
+        from repro.service import AnalysisRequest, AnalysisService
+
+        service = AnalysisService(jobs=1)
+        try:
+            job, _ = service.submit(
+                AnalysisRequest(source=nested("if", 600), name="deep.mc")
+            )
+            service.wait(job, timeout=60)
+        finally:
+            service.shutdown()
+        assert job.error.startswith("MiniCError: "), job.error

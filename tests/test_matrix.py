@@ -23,7 +23,6 @@ from repro.workloads.matrix import (
     resolve_instances,
     resolve_target,
     run_cell,
-    run_suite,
 )
 
 FAST_TARGETS = ("sieve", "gen-small")
@@ -142,8 +141,8 @@ def test_build_phase_reports_all_targets():
 @pytest.fixture(scope="module")
 def suite_result(tmp_path_factory):
     archive = str(tmp_path_factory.mktemp("archive"))
-    result = run_suite(
-        FAST_TARGETS, resolve_instances(FAST_INSTANCES), archive_dir=archive
+    result = ParallelDriver(jobs=1).suite(
+        FAST_TARGETS, FAST_INSTANCES, archive_dir=archive
     )
     return result, archive
 
@@ -242,5 +241,5 @@ def test_cli_suite_rejects_unknown_names(capsys):
 @pytest.mark.slow
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
 def test_full_instance_column_on_fast_targets(instance):
-    result = run_suite(FAST_TARGETS, resolve_instances([instance]))
+    result = ParallelDriver(jobs=1).suite(FAST_TARGETS, [instance])
     assert result.ok, result.summary()

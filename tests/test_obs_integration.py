@@ -109,10 +109,11 @@ class TestStageSpanTree:
             )
         spans = tracer.spans()
         sweep = next(s for s in spans if s.name == "driver.sweep")
-        cells = [s for s in spans if s.name == "driver.cell"]
-        assert len(cells) == 2
-        # Worker roots were re-parented under the submitting sweep span.
-        assert all(c.parent_id == sweep.span_id for c in cells)
+        # One job per CA level of the workload, each a worker's root span,
+        # re-parented under the submitting sweep span.
+        jobs = [s for s in spans if s.name == "driver.workload"]
+        assert len(jobs) == 2
+        assert all(j.parent_id == sweep.span_id for j in jobs)
         # Worker-side stage spans came along too.
         assert {s.name for s in spans} >= {"workload.compile", "cache.memo"}
 

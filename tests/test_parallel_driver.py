@@ -8,9 +8,18 @@ marked ``slow``; a two-workload variant keeps the property in the fast tier.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.pipeline import ArtifactCache, ParallelDriver
+from repro.cli import main
+from repro.evaluation.harness import CA_SWEEP
+from repro.pipeline import (
+    COMPILE_PROFILE_KINDS,
+    KIND_QUALIFIED,
+    ArtifactCache,
+    ParallelDriver,
+)
 from repro.workloads import WORKLOAD_NAMES
 
 FAST_WORKLOADS = ("compress95", "li95")
@@ -59,6 +68,38 @@ def test_uncached_parallel_matches_cached_serial(tmp_path):
     assert _artifacts(2, FAST_WORKLOADS, FAST_CAS) == _artifacts(
         1, FAST_WORKLOADS, FAST_CAS, tmp_path
     )
+
+
+def test_dealt_jobs_build_each_run_once_per_job():
+    """A job builds one run for its CA levels: no qualified artifact is
+    computed twice, and each workload is compiled and profiled once per
+    job it was dealt over."""
+    serial = ParallelDriver(jobs=1).sweep(FAST_WORKLOADS, CA_SWEEP)
+    qualified = serial.cache_stats.misses[KIND_QUALIFIED]
+    for _ in range(2):
+        stats = ParallelDriver(jobs=2).sweep(FAST_WORKLOADS, CA_SWEEP).cache_stats
+        assert stats.misses[KIND_QUALIFIED] == qualified
+        for kind in COMPILE_PROFILE_KINDS:
+            assert stats.misses[kind] == len(FAST_WORKLOADS) * 2, kind
+
+
+def test_parallel_trace_is_one_tree(tmp_path, capsys):
+    """Worker spans reach ``--trace-out`` through the parent, once each,
+    with every worker root re-parented under the sweep."""
+    out = tmp_path / "trace.jsonl"
+    argv = ["bench", "--workloads", *FAST_WORKLOADS, "--ca", "0", "0.97"]
+    assert main(argv + ["--jobs", "2", "--trace-out", str(out)]) == 0
+    capsys.readouterr()
+    spans = [
+        record
+        for record in map(json.loads, out.read_text().splitlines())
+        if record["type"] == "span"
+    ]
+    ids = [s["span_id"] for s in spans]
+    assert len(ids) == len(set(ids))
+    assert [s["name"] for s in spans if s["parent_id"] is None] == ["driver.sweep"]
+    assert {s["parent_id"] for s in spans} - {None} <= set(ids)
+    assert sum(s["name"] == "driver.workload" for s in spans) == 4
 
 
 @pytest.mark.slow

@@ -267,6 +267,31 @@ def test_sweep_endpoint_matches_driver(served):
     assert not result["diagnostics"]["has_errors"]
 
 
+def test_parallel_sweep_spans_reach_the_request_trace():
+    """A ``jobs=2`` sweep forks its pool from a request thread, whose
+    scoped tracer the workers inherit; each worker records into a scope of
+    its own, and the jobs' spans come back under the request's sweep."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    service = AnalysisService(jobs=1, tracer=tracer)
+    try:
+        job, _ = service.submit(
+            SweepRequest(
+                workloads=("compress95", "li95"), ca_values=(0.0, 0.97), jobs=2
+            )
+        )
+        service.wait(job, timeout=300)
+    finally:
+        service.shutdown()
+    assert job.error is None, job.error
+    spans = tracer.spans()
+    sweep = next(s for s in spans if s.name == "driver.sweep")
+    jobs = [s for s in spans if s.name == "driver.workload"]
+    assert len(jobs) == 4
+    assert all(s.parent_id == sweep.span_id for s in jobs)
+
+
 # -- job lifecycle ----------------------------------------------------------
 
 
