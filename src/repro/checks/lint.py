@@ -188,18 +188,8 @@ def lint_function(
     return out
 
 
-def lint_module(module: Module, out: Optional[Diagnostics] = None) -> Diagnostics:
-    """Lint every function of a module."""
-    if out is None:
-        out = Diagnostics()
-    for fn in module.functions.values():
-        lint_function(fn, module, out=out)
-    return out
-
-
 __all__ = [
     "lint_function",
-    "lint_module",
     "LINT_USE_BEFORE_DEF",
     "LINT_DEAD_STORE",
     "LINT_UNREACHABLE_UNDER_CONSTANTS",

@@ -470,9 +470,9 @@ def _check_self_check() -> int:
     errors with the expected spans, and a deliberately corrupted profile
     must be caught (CI's guarantee that the checkers can actually fail).
 
-    The clean pipeline runs under the engine scopes of the ``base`` and
-    the ``wz-compiled`` matrix instances, so the dense WZ lowering is
-    smoked end to end too."""
+    The clean pipeline runs under the engine scope of the ``base`` and
+    then of the ``compiled`` matrix instance, so both solver kernels are
+    smoked end to end at every graph size too."""
     from .checks.profile_checks import PROF_FLOW_IMBALANCE, check_profile
     from .checks.runner import check_program
     from .ir.cfg import Cfg
@@ -490,7 +490,7 @@ def _check_self_check() -> int:
     required = {"check.ir", "check.lint", "check.profile", "check.automaton",
                 "check.hpg", "check.dataflow"}
     problems = []
-    for instance in ("base", "wz-compiled"):
+    for instance in ("base", "compiled"):
         with INSTANCES[instance].scopes(), capture() as (tracer, registry):
             diags = check_program(
                 module, [n], inputs, ca=1.0, cr=0.95, workload="running_example"

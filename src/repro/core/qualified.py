@@ -150,8 +150,8 @@ def run_qualified(
 
     ``train_profile`` must have been collected on ``fn``'s CFG with the same
     recording-edge set (the interpreter's profiler guarantees this).  The
-    three Wegman–Zadek runs (baseline/hpg/reduced) use the WZ engine of the
-    ambient scope (see :mod:`repro.dataflow.wegman_zadek`).
+    three Wegman–Zadek runs (baseline/hpg/reduced) use the engine of the
+    ambient :func:`~repro.dataflow.engine_scope`.
     """
     if cfg is None:
         cfg = Cfg.from_function(fn)

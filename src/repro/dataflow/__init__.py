@@ -35,13 +35,7 @@ from .transfer import (
     transfer_block,
     transfer_instr,
 )
-from .wegman_zadek import (
-    WZ_ENGINES,
-    CondConstResult,
-    analyze,
-    get_default_wz_engine,
-    wz_engine_scope,
-)
+from .wegman_zadek import CondConstResult, analyze
 
 __all__ = [
     "analyze",
@@ -75,7 +69,4 @@ __all__ = [
     "transfer_block",
     "transfer_instr",
     "UNREACHABLE",
-    "WZ_ENGINES",
-    "get_default_wz_engine",
-    "wz_engine_scope",
 ]

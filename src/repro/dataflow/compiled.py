@@ -15,9 +15,9 @@ fact the block may clear (a fact both cleared and later re-set lands in
 ``gen``, which wins the ``|``).  This kernel lowers a problem once to those
 ``(gen, kill)`` Python-int bitsets (arbitrary precision: one int *is* the
 whole bit vector, and ``&``/``|``/``~`` run word-parallel in C), then
-iterates the same three worklist strategies as the generic engine over
-preallocated ``IN``/``OUT`` lists indexed by dense vertex id — no hashing,
-no set allocation, no per-iteration transfer interpretation.
+iterates the generic engine's ``rpo`` priority worklist over preallocated
+``IN``/``OUT`` lists indexed by dense vertex id — no hashing, no set
+allocation, no per-iteration transfer interpretation.
 
 A problem opts in by overriding
 :meth:`~repro.dataflow.framework.DataflowProblem.as_genkill` (usually via
@@ -159,7 +159,6 @@ def solve_compiled(
     problem,
     view: GraphView,
     *,
-    strategy: str = "rpo",
     max_visits: Optional[int] = None,
     collect_stats: bool = False,
 ) -> Optional[Solution]:
@@ -169,7 +168,7 @@ def solve_compiled(
     (the caller falls back to the generic engine).  Otherwise the returned
     :class:`Solution` — values decoded back to ``frozenset``s (or the
     problem's top sentinel) keyed by the original vertices — is equal to the
-    generic engine's, stats included.
+    generic engine's ``rpo`` solve, stats included.
     """
     tracer = get_tracer()
     cfg = view.cfg
@@ -209,7 +208,7 @@ def solve_compiled(
     next_ids = dense.next_ids
     counts = [0] * n
     visits = 0
-    stats = SolverStats(strategy=strategy, engine="compiled")
+    stats = SolverStats(strategy="rpo", engine="compiled")
 
     def relax(vid: int) -> bool:
         """Dense-id twin of the generic solver's ``relax``."""
@@ -218,12 +217,10 @@ def solve_compiled(
         c = counts[vid] + 1
         counts[vid] = c
         if max_visits is not None and c > max_visits:
-            get_metrics().counter(
-                "solver_budget_exceeded", strategy=strategy
-            ).inc()
+            get_metrics().counter("solver_budget_exceeded", strategy="rpo").inc()
             raise SolverBudgetExceeded(
                 f"vertex {dense.verts[vid]!r} relaxed more than {max_visits} "
-                f"times (strategy={strategy})"
+                f"times (strategy=rpo)"
             )
         preds = prev_ids[vid]
         if vid == start_id:
@@ -265,55 +262,27 @@ def solve_compiled(
 
     with tracer.span(
         "dataflow.solve",
-        strategy=strategy,
+        strategy="rpo",
         direction=problem.direction,
         vertices=n,
         engine="compiled",
     ) as span:
-        if strategy == "round_robin":
-            order = dense.sweep_ids
-            stats.peak_worklist = len(order)
-            changed = True
-            while changed:
-                changed = False
-                for vid in order:
-                    if relax(vid):
-                        changed = True
-        elif strategy == "lifo":
-            worklist = list(dense.sweep_ids)
-            on_list = bytearray(n)
-            for vid in worklist:
-                on_list[vid] = 1
-            stats.pushes = len(worklist)
-            while worklist:
-                if len(worklist) > stats.peak_worklist:
-                    stats.peak_worklist = len(worklist)
-                vid = worklist.pop()
-                on_list[vid] = 0
-                if relax(vid):
-                    for w in next_ids[vid]:
-                        if not on_list[w]:
-                            worklist.append(w)
-                            on_list[w] = 1
-                            stats.pushes += 1
-        else:  # rpo priority worklist — a vertex's dense id IS its priority
-            heap = list(dense.sweep_ids)
-            heapq.heapify(heap)
-            on_list = bytearray(n)
-            for vid in heap:
-                on_list[vid] = 1
-            stats.pushes = len(heap)
-            while heap:
-                if len(heap) > stats.peak_worklist:
-                    stats.peak_worklist = len(heap)
-                vid = heapq.heappop(heap)
-                on_list[vid] = 0
-                if relax(vid):
-                    for w in next_ids[vid]:
-                        if not on_list[w]:
-                            heapq.heappush(heap, w)
-                            on_list[w] = 1
-                            stats.pushes += 1
+        # The rpo priority worklist: a vertex's dense id IS its priority, so
+        # the ascending ids seed an already valid heap of every vertex.
+        heap = list(range(n))
+        on_list = bytearray(b"\x01") * n
+        stats.pushes = n
+        while heap:
+            if len(heap) > stats.peak_worklist:
+                stats.peak_worklist = len(heap)
+            vid = heapq.heappop(heap)
+            on_list[vid] = 0
+            if relax(vid):
+                for w in next_ids[vid]:
+                    if not on_list[w]:
+                        heapq.heappush(heap, w)
+                        on_list[w] = 1
+                        stats.pushes += 1
         span.set(visits=visits)
 
     stats.visits = visits

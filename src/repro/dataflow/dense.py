@@ -80,17 +80,13 @@ class DenseGraph:
 
     ``verts[i]`` is the vertex with id ``i``; ids follow
     :func:`~repro.dataflow.framework.priority_order` in the analysis
-    direction, so for the ``rpo`` strategy the id doubles as the heap
-    priority.  ``next_ids``/``prev_ids`` are successors/predecessors *in the
-    analysis direction* (swapped for backward problems), matching the
-    generic solver's ``next_of``/``prev_of``.  ``sweep_ids`` preserves
-    ``cfg.vertices`` insertion order — the seeding and sweep order the
-    ``lifo`` and ``round_robin`` strategies (and the generic solver's
-    initial worklists) use, kept so work accounting matches the generic
-    engine visit for visit.
+    direction, so the id doubles as the ``rpo`` worklist's heap priority.
+    ``next_ids``/``prev_ids`` are successors/predecessors *in the analysis
+    direction* (swapped for backward problems), matching the generic
+    solver's ``next_of``/``prev_of``.
     """
 
-    __slots__ = ("verts", "id_of", "start_id", "next_ids", "prev_ids", "sweep_ids")
+    __slots__ = ("verts", "id_of", "start_id", "next_ids", "prev_ids")
 
     def __init__(self, cfg, forward: bool = True) -> None:
         prio = priority_order(cfg, forward)
@@ -104,7 +100,6 @@ class DenseGraph:
         self.start_id = prio[cfg.entry if forward else cfg.exit]
         self.next_ids = [tuple(prio[w] for w in next_of(v)) for v in verts]
         self.prev_ids = [tuple(prio[w] for w in prev_of(v)) for v in verts]
-        self.sweep_ids = [prio[v] for v in cfg.vertices]
 
     def __len__(self) -> int:
         return len(self.verts)

@@ -12,19 +12,19 @@ so every instance runs unchanged on hot-path graphs: that is the qualified
 analysis of Definition 6, where the traced problem keeps the lattice and
 transfer functions of the original and only the graph changes.
 
-Three worklist strategies are available behind the same :func:`solve`
+Two worklist strategies are available behind the same :func:`solve`
 signature:
 
 * ``"rpo"`` (default) — a priority worklist ordered by reverse postorder in
   the direction of the analysis.  On the irreducible, retreating-edge-heavy
   hot-path graphs tracing produces, processing a vertex only after its
   forward predecessors cuts revisits dramatically relative to a LIFO stack.
-* ``"lifo"`` — the historical stack-based worklist, kept for comparison.
+  It is the only order the bitset kernel runs.
 * ``"round_robin"`` — chaotic iteration: full sweeps over all vertices until
-  a sweep changes nothing.  Deliberately simple; it is the reference
-  implementation the property-based tests compare the others against.
+  a sweep changes nothing.  Deliberately simple; it runs only on the generic
+  engine, as the reference the property-based tests compare ``rpo`` against.
 
-Every strategy handles the start vertex uniformly inside the loop: its input
+Both strategies handle the start vertex uniformly inside the loop: its input
 is always ``boundary() ⊓ (meet of predecessor outputs)``, so a start vertex
 with predecessors — possible on hot-path graphs, e.g. a retreating edge back
 to the entry copy — never consumes a stale input computed before iteration
@@ -47,12 +47,16 @@ from .graph_view import GraphView
 L = TypeVar("L")
 Vertex = Hashable
 
-SOLVER_STRATEGIES = ("rpo", "lifo", "round_robin")
+SOLVER_STRATEGIES = ("rpo", "round_robin")
 
-#: ``generic`` re-runs transfer functions each relaxation (the oracle);
-#: ``compiled`` lowers separable problems to gen/kill bitsets (see
-#: :mod:`repro.dataflow.compiled`); ``auto`` picks compiled exactly when the
-#: problem overrides :meth:`DataflowProblem.as_genkill`.
+#: The engines of both solvers, :func:`solve` and
+#: :func:`~repro.dataflow.wegman_zadek.analyze`.  ``generic`` is each
+#: solver's oracle (transfer functions re-run on every relaxation, persistent
+#: environment dicts); ``compiled`` is its fast kernel (gen/kill bitsets,
+#: :mod:`repro.dataflow.compiled`; dense environment arrays,
+#: :mod:`repro.dataflow.wz_compiled`); ``auto`` picks the kernel on graphs
+#: at or above the solver's crossover size, and for :func:`solve` only for
+#: problems that override :meth:`DataflowProblem.as_genkill`.
 DATAFLOW_ENGINES = ("auto", "generic", "compiled")
 
 #: The engine of the innermost :func:`engine_scope`.  A contextvar, so
@@ -63,17 +67,22 @@ _SCOPED_ENGINE: contextvars.ContextVar[str] = contextvars.ContextVar(
 
 
 def get_default_engine() -> str:
-    """The engine :func:`solve` uses when called without ``engine=``: the
-    innermost :func:`engine_scope` of the current context, else ``auto``."""
+    """The engine :func:`solve` and
+    :func:`~repro.dataflow.wegman_zadek.analyze` use when called without
+    ``engine=``: the innermost :func:`engine_scope` of the current context,
+    else ``auto``."""
     return _SCOPED_ENGINE.get()
 
 
 @contextmanager
 def engine_scope(engine: str):
-    """Run a block under a different default engine: the one way to run a
-    whole pipeline on an oracle, since no layer above :func:`solve` takes an
-    engine.  Thread-safe: the override is visible only to the context that
-    entered the scope."""
+    """Run a block under a different default engine for both solvers — the
+    bitset problems of :func:`solve` and the conditional-constant runs of
+    :func:`~repro.dataflow.wegman_zadek.analyze`.  It is the one way to run
+    a whole pipeline on the oracles (``generic``) or the kernels
+    (``compiled``), since no layer above the solvers takes an engine.
+    Thread-safe: the override is visible only to the context that entered
+    the scope."""
     if engine not in DATAFLOW_ENGINES:
         raise ValueError(
             f"bad dataflow engine {engine!r}; choose from {DATAFLOW_ENGINES}"
@@ -231,12 +240,13 @@ def solve(
     ``collect_stats`` the returned :class:`Solution` carries a
     :class:`SolverStats` describing the work done.  ``engine`` overrides the
     scoped default (:func:`engine_scope`): ``"compiled"`` demands the
-    bitset kernel (an error for non-separable problems), ``"generic"``
-    forces the oracle, ``"auto"`` — the default default — compiles the
-    problems that declare a gen/kill lowering, but only on graphs with at
-    least :data:`~repro.dataflow.compiled.AUTO_MIN_VERTICES` vertices; below
-    that the kernel's fixed costs are not amortized and the generic solver
-    is faster.
+    bitset kernel (an error for non-separable problems and for
+    ``round_robin``, which the kernel does not run), ``"generic"`` forces
+    the oracle, ``"auto"`` — the default default — compiles ``rpo`` solves
+    of the problems that declare a gen/kill lowering, but only on graphs
+    with at least :data:`~repro.dataflow.compiled.AUTO_MIN_VERTICES`
+    vertices; below that the kernel's fixed costs are not amortized and the
+    generic solver is faster.
     """
     forward = problem.direction == "forward"
     if not forward and problem.direction != "backward":
@@ -251,7 +261,11 @@ def solve(
         raise ValueError(
             f"bad dataflow engine {engine!r}; choose from {DATAFLOW_ENGINES}"
         )
-    if engine != "generic":
+    if engine == "compiled" and strategy != "rpo":
+        raise ValueError(
+            f"the compiled engine runs only the rpo order, not {strategy!r}"
+        )
+    if engine != "generic" and strategy == "rpo":
         separable = type(problem).as_genkill is not DataflowProblem.as_genkill
         if separable:
             from .compiled import AUTO_MIN_VERTICES, solve_compiled
@@ -266,7 +280,6 @@ def solve(
                 solution = solve_compiled(
                     problem,
                     view,
-                    strategy=strategy,
                     max_visits=max_visits,
                     collect_stats=collect_stats,
                 )
@@ -340,20 +353,6 @@ def solve(
                 for v in order:
                     if relax(v):
                         changed = True
-        elif strategy == "lifo":
-            worklist = list(cfg.vertices)
-            on_list = set(worklist)
-            stats.pushes = len(worklist)
-            while worklist:
-                stats.peak_worklist = max(stats.peak_worklist, len(worklist))
-                v = worklist.pop()
-                on_list.discard(v)
-                if relax(v):
-                    for w in next_of(v):
-                        if w not in on_list:
-                            worklist.append(w)
-                            on_list.add(w)
-                            stats.pushes += 1
         else:  # rpo priority worklist
             prio = priority_order(cfg, forward)
             heap: list[tuple[int, Vertex]] = [(prio[v], v) for v in cfg.vertices]

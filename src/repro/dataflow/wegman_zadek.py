@@ -15,14 +15,13 @@ in the IR.
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from typing import Hashable, Optional
 
 from ..ir.basic_block import BasicBlock
 from ..ir.cfg import Edge
 from ..ir.instructions import Branch, Jump, Ret
 from ..obs import get_metrics, get_tracer
+from .framework import DATAFLOW_ENGINES, get_default_engine
 from .graph_view import GraphView
 from .lattice import (
     BOT,
@@ -37,38 +36,6 @@ from .transfer import eval_operand, transfer_block
 from .wz_dense import lower_transfer, run_program
 
 Vertex = Hashable
-
-#: ``generic`` is the persistent-dict oracle below; ``compiled`` is the
-#: dense env-array engine of :mod:`repro.dataflow.wz_compiled`; ``auto``
-#: picks compiled at/above ``WZ_AUTO_MIN_VERTICES`` vertices.
-WZ_ENGINES = ("auto", "generic", "compiled")
-
-#: The engine of the innermost :func:`wz_engine_scope`.  A contextvar, so
-#: concurrent threads scope their engines independently.
-_SCOPED_WZ_ENGINE: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_wz_engine", default="auto"
-)
-
-
-def get_default_wz_engine() -> str:
-    """The engine :func:`analyze` uses when called without ``engine=``: the
-    innermost :func:`wz_engine_scope` of the current context, else ``auto``."""
-    return _SCOPED_WZ_ENGINE.get()
-
-
-@contextmanager
-def wz_engine_scope(engine: str):
-    """Run a block under a different default WZ engine: the one way to run
-    a whole pipeline on an oracle, since no layer above :func:`analyze`
-    takes an engine.  Thread-safe: the override is visible only to the
-    context that entered the scope."""
-    if engine not in WZ_ENGINES:
-        raise ValueError(f"bad wz engine {engine!r}; choose from {WZ_ENGINES}")
-    token = _SCOPED_WZ_ENGINE.set(engine)
-    try:
-        yield
-    finally:
-        _SCOPED_WZ_ENGINE.reset(token)
 
 
 class CondConstResult:
@@ -199,13 +166,16 @@ def analyze(
     ``engine`` is ``"generic"`` (the persistent-dict oracle), ``"compiled"``
     (the dense env-array engine), or ``"auto"`` (compiled at/above
     :data:`~repro.dataflow.wz_compiled.WZ_AUTO_MIN_VERTICES` vertices);
-    ``None`` uses the ambient default (:func:`wz_engine_scope`).  Both
-    engines produce identical results, visit counts included.
+    ``None`` uses the ambient default of both solvers
+    (:func:`~repro.dataflow.framework.engine_scope`).  Both engines produce
+    identical results, visit counts included.
     """
     if engine is None:
-        engine = get_default_wz_engine()
-    elif engine not in WZ_ENGINES:
-        raise ValueError(f"bad wz engine {engine!r}; choose from {WZ_ENGINES}")
+        engine = get_default_engine()
+    if engine not in DATAFLOW_ENGINES:
+        raise ValueError(
+            f"bad dataflow engine {engine!r}; choose from {DATAFLOW_ENGINES}"
+        )
     if engine != "generic":
         from .wz_compiled import WZ_AUTO_MIN_VERTICES, analyze_compiled
 

@@ -123,7 +123,6 @@ class WorkloadRun:
         self,
         workload: Workload,
         engine: str = "compiled",
-        tracer: Optional[Tracer] = None,
         checker=None,
         cache: Optional[ArtifactCache] = None,
     ) -> None:
@@ -144,7 +143,7 @@ class WorkloadRun:
         # on, the stages land in the global trace; when it is off, a private
         # always-enabled tracer keeps ``timings`` real without publishing
         # anything.
-        tr = tracer if tracer is not None else get_tracer()
+        tr = get_tracer()
         if not tr.enabled:
             tr = Tracer()
         self.tracer = tr

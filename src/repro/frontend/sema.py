@@ -9,6 +9,7 @@ Checks performed before lowering:
 * calls target a declared function or builtin with the right arity;
 * ``break``/``continue`` appear inside loops;
 * no statements follow a ``return``/``break``/``continue`` in a block;
+* no expression tree is deeper than :data:`MAX_EXPR_DEPTH`;
 * a ``main`` function exists.
 
 MiniC has function-level scoping (a ``var`` is visible from its declaration
@@ -43,9 +44,18 @@ from .ast_nodes import (
     WhileStmt,
 )
 from .lexer import MiniCError
+from .parser import MAX_NESTING
 
 #: Builtin name -> arity.
 BUILTIN_ARITY = {"abs": 1, "min2": 2, "max2": 2, "clamp": 3}
+
+#: Deepest expression tree accepted, in nodes from the root to a leaf
+#: (``n + n + n`` is 3 deep, ``-(n)`` 2).  The parser's nesting bound
+#: does not see a left-deep chain such as ``n + n + … + n``, which it builds
+#: in a loop, but the lowering recurses two or three frames per level of
+#: the tree; this bound keeps it well inside Python's recursion limit even
+#: at the deepest block nesting.  The walk here is iterative.
+MAX_EXPR_DEPTH = MAX_NESTING
 
 assert set(BUILTIN_ARITY) == set(BUILTIN_FUNCTIONS)
 
@@ -195,38 +205,47 @@ def _check_stmt(stmt: Stmt, ctx: _Context, loop_depth: int) -> bool:
     raise MiniCError(f"unknown statement {stmt!r}")
 
 
-def _check_expr(expr: Expr, ctx: _Context) -> None:
-    if isinstance(expr, NumberExpr):
-        return
-    if isinstance(expr, VarExpr):
-        if expr.name not in ctx.declared:
-            raise MiniCError(f"use of undeclared variable {expr.name!r}", expr.line)
-        return
-    if isinstance(expr, IndexExpr):
-        if expr.array not in ctx.arrays:
-            raise MiniCError(f"unknown array {expr.array!r}", expr.line)
-        _check_expr(expr.index, ctx)
-        return
-    if isinstance(expr, UnaryExpr):
-        _check_expr(expr.operand, ctx)
-        return
-    if isinstance(expr, BinaryExpr):
-        _check_expr(expr.lhs, ctx)
-        _check_expr(expr.rhs, ctx)
-        return
-    if isinstance(expr, CallExpr):
-        if expr.func in ctx.functions:
-            arity = len(ctx.functions[expr.func].params)
-        elif expr.func in BUILTIN_ARITY:
-            arity = BUILTIN_ARITY[expr.func]
-        else:
-            raise MiniCError(f"call to unknown function {expr.func!r}", expr.line)
-        if len(expr.args) != arity:
+def _check_expr(root: Expr, ctx: _Context) -> None:
+    stack = [(root, 1)]
+    while stack:
+        expr, depth = stack.pop()
+        if depth > MAX_EXPR_DEPTH:
             raise MiniCError(
-                f"{expr.func} expects {arity} arguments, got {len(expr.args)}",
-                expr.line,
+                f"expression deeper than {MAX_EXPR_DEPTH} levels", expr.line
             )
-        for arg in expr.args:
-            _check_expr(arg, ctx)
-        return
-    raise MiniCError(f"unknown expression {expr!r}")
+        if isinstance(expr, NumberExpr):
+            continue
+        if isinstance(expr, VarExpr):
+            if expr.name not in ctx.declared:
+                raise MiniCError(
+                    f"use of undeclared variable {expr.name!r}", expr.line
+                )
+            continue
+        if isinstance(expr, IndexExpr):
+            if expr.array not in ctx.arrays:
+                raise MiniCError(f"unknown array {expr.array!r}", expr.line)
+            children = (expr.index,)
+        elif isinstance(expr, UnaryExpr):
+            children = (expr.operand,)
+        elif isinstance(expr, BinaryExpr):
+            children = (expr.lhs, expr.rhs)
+        elif isinstance(expr, CallExpr):
+            if expr.func in ctx.functions:
+                arity = len(ctx.functions[expr.func].params)
+            elif expr.func in BUILTIN_ARITY:
+                arity = BUILTIN_ARITY[expr.func]
+            else:
+                raise MiniCError(
+                    f"call to unknown function {expr.func!r}", expr.line
+                )
+            if len(expr.args) != arity:
+                raise MiniCError(
+                    f"{expr.func} expects {arity} arguments, "
+                    f"got {len(expr.args)}",
+                    expr.line,
+                )
+            children = expr.args
+        else:
+            raise MiniCError(f"unknown expression {expr!r}")
+        # Reversed, so children are checked left to right, as written.
+        stack.extend((child, depth + 1) for child in reversed(children))

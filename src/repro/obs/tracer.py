@@ -28,10 +28,12 @@ independently) and the finished-span list is guarded by a lock.  Spans
 travel across process boundaries as plain dicts (:meth:`Span.to_record`);
 :meth:`Tracer.absorb_records` folds a worker's spans back into the parent
 trace (and its streaming listeners), re-parenting the worker's roots under
-a chosen span so the merged tree stays connected.  Span ids embed the
-originating pid, so merged ids never collide.  ``start`` values are
-per-process monotonic clocks — only durations, never absolute starts, are
-comparable across processes.
+a chosen span so the merged tree stays connected.  Span ids are
+``<pid hex>-<n hex>`` with ``n`` drawn from one counter per process, shared
+by every tracer in it, so ids never collide when spans merge — neither the
+per-request scope tracers a daemon folds into its own, nor the records of
+worker processes.  ``start`` values are per-process monotonic clocks — only
+durations, never absolute starts, are comparable across processes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Optional
 
 from . import memsample as _memsample
+
+#: The span-id sequence of this process, shared by all its tracers.  A
+#: forked child continues it under its own pid.
+_SPAN_IDS = itertools.count(1)
 
 
 class Span:
@@ -173,7 +179,6 @@ class Tracer:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._finished: list[Span] = []
-        self._ids = itertools.count(1)
         self._local = threading.local()
         self._listeners: list[Callable[[Span], None]] = []
 
@@ -282,7 +287,7 @@ class Tracer:
     # -- internals ---------------------------------------------------------
 
     def _next_id(self) -> str:
-        return f"{os.getpid():x}-{next(self._ids):x}"
+        return f"{os.getpid():x}-{next(_SPAN_IDS):x}"
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)

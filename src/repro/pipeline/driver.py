@@ -12,9 +12,7 @@ a job: a worker process remembers no run, cache or report of an earlier
 one.
 
 All numbers flowing through a job are deterministic (counts, cycle costs,
-ratios of counts).  Wall-clock analysis time is measured and carried on each
-cell for reporting, but deliberately kept out of the rendered artifacts so
-they stay comparable across machines and job counts.
+ratios of counts), so a memoized sweep cell is a pure function of its key.
 
 With a shared ``cache_dir`` the jobs cooperate through the content-addressed
 artifact cache: the first job to need a compiled module or profiling run
@@ -39,7 +37,7 @@ from ..evaluation.figures import render_series
 from ..evaluation.tables import format_table
 from ..frontend.fingerprint import module_fingerprint
 from ..frontend.lower import compile_program
-from ..obs import MetricsRegistry, Tracer, get_metrics, get_tracer, request_scope
+from ..obs import get_metrics, get_tracer, request_scope
 from ..workloads import WORKLOAD_NAMES
 from ..workloads.matrix import resolve_target
 from .cache import (
@@ -65,8 +63,6 @@ class SweepCell:
     sizes: tuple[int, int, int]
     #: Table 1: hot paths needed to reach this coverage.
     hot_paths: int
-    #: Figure 12 raw material (wall-clock; excluded from rendered artifacts).
-    analysis_time: float
 
 
 @dataclass(frozen=True)
@@ -207,28 +203,17 @@ class SweepResult:
 # the fan-out — module level, like every job, so they pickle into workers
 # ---------------------------------------------------------------------------
 
-#: The tracer and registry a pool worker records its jobs in, installed by
-#: its first job when the submitting process has observability on.  One
-#: tracer per worker keeps span ids unique across the worker's jobs.
-_WORKER_OBS: Optional[tuple[Tracer, MetricsRegistry]] = None
-
-
 def _pool_job(obs: bool, job: Callable, args: tuple) -> tuple:
-    """Run one job in a pool worker: ``(value, span records, metric delta)``,
+    """Run one job in a pool worker: ``(value, span records, metrics)``,
     the last two empty unless the submitter has observability on."""
-    global _WORKER_OBS
     if not obs:
         return job(*args), [], {}
-    if _WORKER_OBS is None:
-        _WORKER_OBS = (Tracer(), MetricsRegistry())
-    tracer, registry = _WORKER_OBS
-    # A scope, not a process global: a worker forked from a request thread
-    # inherits that request's scoped tracer, which a global would not shadow.
-    with request_scope(tracer, registry, drain=False):
+    # A fresh scope per job, not a process global: a worker forked from a
+    # request thread inherits that request's scoped tracer, which a global
+    # would not shadow.
+    with request_scope(drain=False) as (tracer, registry):
         value = job(*args)
-    delta = registry.snapshot()
-    registry.clear()
-    return value, tracer.drain_records(), delta
+    return value, tracer.drain_records(), registry.snapshot()
 
 
 def fan_out(jobs: int, job: Callable, arg_lists: Sequence[tuple]) -> Iterator:
@@ -275,7 +260,6 @@ def _cell_from_run(run: WorkloadRun, ca: float, cr: float) -> SweepCell:
         constant_increase=run.aggregate_classification(ca, cr).constant_increase,
         sizes=run.graph_sizes(ca, cr),
         hot_paths=run.hot_path_count(ca),
-        analysis_time=run.analysis_time(ca, cr),
     )
 
 
@@ -307,14 +291,14 @@ def _sweep_job(
     findings)``.  With ``incremental`` each cell and the summary are
     memoized in the cache, keyed by the module's IR fingerprint, the data
     digests, CA and CR: after an edit only workloads whose function set
-    changed miss, and a warm cell never builds the run (nor re-checks what
-    was checked when it was first computed).  The carried ``analysis_time``
-    is the only value not fixed by the key, and rendered artifacts exclude
-    it.
+    changed miss, and a warm cell never builds the run.  A checked job
+    neither reads nor writes that memo: it builds the run, so the checkers
+    see every artifact, even those served from the cache.
     """
     workload = resolve_target(name)
     cache = ArtifactCache(cache_dir)
     run: Optional[WorkloadRun] = None
+    memoize = incremental and not check
 
     def value(kind: str, build: Callable, ca: float):
         def compute():
@@ -323,7 +307,7 @@ def _sweep_job(
                 run = make_run(workload, cache, check=check)
             return build(run, ca, cr)
 
-        if not incremental:
+        if not memoize:
             return compute()
         # The kind doubles as the key's tag ("sweep-cell", "sweep-summary").
         return cache.memo(kind, content_key(kind, *part, ca, cr), compute)
@@ -331,7 +315,7 @@ def _sweep_job(
     with get_tracer().span(
         "driver.workload", workload=name, ca_values=len(ca_values)
     ):
-        if incremental:
+        if memoize:
             module = cache.memo(
                 KIND_MODULE,
                 content_key("module", workload.source),
@@ -390,8 +374,8 @@ class ParallelDriver:
         self.check = check
         #: Memoize whole sweep cells/summaries by module fingerprint: after
         #: an edit, only cells whose workload's function set changed re-run.
-        #: Warm cells skip checker re-runs (artifacts were checked when
-        #: first computed) — see ``docs/INCREMENTAL.md``.
+        #: A checked sweep bypasses that memo, so its checkers run on every
+        #: cell — see ``docs/INCREMENTAL.md``.
         self.incremental = incremental
 
     def sweep(

@@ -10,7 +10,6 @@ from .serialize import (
     dump_profiles,
     dumps_profiles,
     fingerprint_profile,
-    fingerprint_profiles,
     load_profiles,
     loads_profiles,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "dump_profiles",
     "dumps_profiles",
     "fingerprint_profile",
-    "fingerprint_profiles",
     "load_profiles",
     "loads_profiles",
     "ProfileFormatError",

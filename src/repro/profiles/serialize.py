@@ -51,29 +51,13 @@ def dumps_profiles(profiles: Mapping[str, PathProfile]) -> str:
     return buffer.getvalue()
 
 
-def fingerprint_profiles(profiles: Mapping[str, PathProfile]) -> str:
-    """A stable content digest of per-routine profiles.
-
-    The digest is the SHA-256 of the canonical text serialization with
-    routines emitted in sorted order, so two profiles with the same paths and
-    counts fingerprint identically regardless of collection order.  The
-    pipeline cache uses this to key derived artifacts (automata, hot-path
-    graphs, analyses) by *profile content* rather than by how the profile was
-    produced.
-    """
-    import hashlib
-
-    ordered = {name: profiles[name] for name in sorted(profiles, key=str)}
-    return hashlib.sha256(dumps_profiles(ordered).encode()).hexdigest()
-
-
 def fingerprint_profile(profile: PathProfile) -> str:
-    """A stable content digest of a *single* routine's profile.
+    """A stable content digest of a single routine's profile: the SHA-256
+    of its canonical text serialization.
 
-    Unlike :func:`fingerprint_profiles`, the routine's name is not part of
-    the digest: the fingerprint identifies the observed path multiset
-    alone.  The incremental pipeline keys per-function artifacts
-    (automata, HPGs, qualified dataflow, lint) on
+    The routine's name is not part of the digest: the fingerprint
+    identifies the observed path multiset alone.  The pipeline keys
+    per-function artifacts (automata, HPGs, qualified dataflow, lint) on
     ``(function fingerprint, profile fingerprint, ...)`` so an edit to one
     function leaves every other function's artifacts warm even though the
     whole-module profiling run was re-executed.

@@ -6,8 +6,9 @@ Modelled on the vusec ``instrumentation-infra`` layout, the suite crosses
   hand-written algorithm ports (:mod:`repro.workloads.handwritten`), the
   generated presets (:data:`repro.workloads.generate.GEN_PRESETS`), and
   ad-hoc ``gen:key=value,...`` specs parsed on the fly; with
-* **instances** — configurations: interpreter engine × dataflow engine ×
-  Wegman–Zadek engine × solver strategy × (CA, CR) coverage.
+* **instances** — configurations: interpreter engine × solver engine (the
+  :func:`~repro.dataflow.engine_scope` both solvers read) × (CA, CR)
+  coverage.
 
 Each cell of the cross product is simultaneously a measurement and a
 **differential test**:
@@ -15,8 +16,8 @@ Each cell of the cross product is simultaneously a measurement and a
 1. the training run is executed on *both* interpreter engines and the full
    :class:`RunResult`s must match (``interp_parity``);
 2. every separable dataflow problem is solved on every routine's CFG by
-   *both* solver engines under the instance's strategy and the fixpoints
-   must match (``dataflow_parity``);
+   *both* solver engines and the fixpoints must match
+   (``dataflow_parity``);
 3. conditional constant propagation runs on every routine's CFG — and on
    its hot-path graph, when traced — under *both* Wegman–Zadek engines and
    the environments, executable edges, and worklist visit counts must all
@@ -48,13 +49,10 @@ import dataclasses
 import functools
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..dataflow import engine_scope, solve, wz_engine_scope
-from ..dataflow.framework import SOLVER_STRATEGIES
-from ..dataflow.wegman_zadek import WZ_ENGINES
+from ..dataflow import DATAFLOW_ENGINES, engine_scope, solve
 from ..dataflow.graph_view import GraphView
 from ..evaluation.harness import DEFAULT_CA, DEFAULT_CR, Workload
 from ..evaluation.tables import format_table
@@ -91,44 +89,35 @@ class Instance:
     name: str
     #: Interpreter engine driving the train/ref runs.
     engine: str = "compiled"
-    #: Dataflow solver engine for the pipeline's separable analyses.
-    dataflow_engine: str = "auto"
-    #: Wegman–Zadek engine for the pipeline's conditional-constant runs.
-    wz_engine: str = "auto"
-    #: Worklist strategy for the cell's differential dataflow stage.
-    strategy: str = "rpo"
+    #: Engine of both solvers, the pipeline's separable analyses and its
+    #: conditional-constant runs (:func:`~repro.dataflow.engine_scope`).
+    solvers: str = "auto"
     ca: float = DEFAULT_CA
     cr: float = DEFAULT_CR
 
     def __post_init__(self) -> None:
         if self.engine not in ("reference", "compiled"):
             raise ValueError(f"bad engine {self.engine!r}")
-        if self.wz_engine not in WZ_ENGINES:
-            raise ValueError(f"bad wz_engine {self.wz_engine!r}")
-        if self.strategy not in SOLVER_STRATEGIES:
-            raise ValueError(f"bad strategy {self.strategy!r}")
+        if self.solvers not in DATAFLOW_ENGINES:
+            raise ValueError(f"bad solvers {self.solvers!r}")
 
     def config(self) -> dict:
         return asdict(self)
 
-    @contextmanager
     def scopes(self):
-        """Run a block on this instance's dataflow and WZ engines."""
-        with engine_scope(self.dataflow_engine), wz_engine_scope(self.wz_engine):
-            yield
+        """Run a block on this instance's solver engine."""
+        return engine_scope(self.solvers)
 
 
 #: The registered instance columns.  ``base`` is the production
-#: configuration; the others each flip one axis against it.
+#: configuration; ``reference`` runs every oracle, ``compiled`` forces both
+#: solver kernels at every graph size, and ``full-cover`` traces all paths.
 INSTANCES: dict[str, Instance] = {
     inst.name: inst
     for inst in (
         Instance("base"),
-        Instance("reference", engine="reference", dataflow_engine="generic",
-                 wz_engine="generic"),
-        Instance("bitset", dataflow_engine="compiled"),
-        Instance("wz-compiled", wz_engine="compiled"),
-        Instance("lifo", strategy="lifo"),
+        Instance("reference", engine="reference", solvers="generic"),
+        Instance("compiled", solvers="compiled"),
         Instance("full-cover", ca=1.0),
     )
 }
@@ -323,11 +312,12 @@ def cell_key(workload: Workload, instance: Instance) -> str:
     from ..pipeline.cache import content_key
 
     # The tag versions the archived cell schema: bumping it retires every
-    # previously archived cell (v2 added the lint-parity stage).  Cell keys
-    # stay hashed under artifact-cache schema 2, so a cache schema bump
-    # does not orphan the archive.
+    # previously archived cell (v2 added the lint-parity stage, v3 made the
+    # instance's three solver fields one).  Cell keys stay hashed under
+    # artifact-cache schema 2, so a cache schema bump does not orphan the
+    # archive.
     return content_key(
-        "matrix-cell-v2",
+        "matrix-cell-v3",
         workload.source,
         list(workload.train_args),
         {k: list(v) for k, v in workload.train_inputs.items()},
@@ -354,17 +344,15 @@ def _interp_parity(run, workload: Workload, instance: Instance) -> tuple[bool, l
     return not mismatches, mismatches
 
 
-def _dataflow_parity(run, instance: Instance) -> tuple[bool, list]:
-    """Solve every separable problem on every routine with both engines
-    under the instance's strategy; fixpoints must be identical."""
+def _dataflow_parity(run) -> tuple[bool, list]:
+    """Solve every separable problem on every routine with both engines;
+    fixpoints must be identical."""
     mismatches = []
     for fname, fn in run.module.functions.items():
         view = GraphView.from_function(fn)
         for pname, problem in _separable_problems(view):
-            generic = solve(problem, view, strategy=instance.strategy,
-                            engine="generic")
-            compiled = solve(problem, view, strategy=instance.strategy,
-                             engine="compiled")
+            generic = solve(problem, view, engine="generic")
+            compiled = solve(problem, view, engine="compiled")
             if (
                 generic.value_in != compiled.value_in
                 or generic.value_out != compiled.value_out
@@ -435,7 +423,7 @@ def run_cell(
 ) -> MatrixCell:
     """Execute one matrix cell: pipeline, differentials, checks, archive.
 
-    The pipeline runs under the instance's engine scopes.  Qualified
+    The pipeline runs under the instance's engine scope.  Qualified
     artifacts do not key on engines, so with a shared ``cache_dir`` a cell
     may load what another instance computed; its parity stages still solve
     on both engines."""
@@ -453,7 +441,7 @@ def run_cell(
         agg = run.aggregate_classification(instance.ca, instance.cr)
         orig, hpg, red = run.graph_sizes(instance.ca, instance.cr)
         interp_ok, interp_bad = _interp_parity(run, workload, instance)
-        df_ok, df_bad = _dataflow_parity(run, instance)
+        df_ok, df_bad = _dataflow_parity(run)
         wz_ok, wz_bad = _wz_parity(run, instance)
         lint_ok, lint_bad, lint_count = _lint_parity(run, instance)
         diags = run.checker.diagnostics

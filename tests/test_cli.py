@@ -312,13 +312,13 @@ class TestCheck:
 
     def test_self_check_also_runs_the_dense_wz_engine(self, monkeypatch):
         from repro.checks import runner
-        from repro.dataflow.wegman_zadek import get_default_wz_engine
+        from repro.dataflow import get_default_engine
 
         seen = []
         real = runner.check_program
 
         def spy(*args, **kwargs):
-            seen.append(get_default_wz_engine())
+            seen.append(get_default_engine())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner, "check_program", spy)
@@ -423,7 +423,7 @@ class TestCheck:
 
 class TestDataflowEngineFlag:
     """No verb takes an engine flag: engines follow the context scope
-    (``engine_scope``/``wz_engine_scope``).  Also ``--mem-spans``."""
+    (``engine_scope``).  Also ``--mem-spans``."""
 
     def test_trace_engine_choices_rejected(self, capsys):
         verbs = ("run", "report", "bench", "suite", "trace", "submit",
@@ -436,10 +436,10 @@ class TestDataflowEngineFlag:
                 assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_check_runs_clean_on_both_engines(self, capsys):
-        from repro.dataflow import engine_scope, wz_engine_scope
+        from repro.dataflow import engine_scope
 
         for engine in ("compiled", "generic"):
-            with engine_scope(engine), wz_engine_scope(engine):
+            with engine_scope(engine):
                 assert main(["check", "compress95"]) == 0
             assert "0 error(s)" in capsys.readouterr().out
 

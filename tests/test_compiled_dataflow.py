@@ -1,18 +1,18 @@
 """Differential tests: the bitset-compiled kernel against the generic oracle.
 
-The compiled engine must be a drop-in replacement *per strategy*: for every
-separable problem, every graph (plain CFGs, hot-path graphs, tiled
-paper-scale graphs), and every worklist strategy, it must produce the same
-:class:`Solution` — values and work accounting alike — as the generic
-solver running the same strategy.
+The compiled engine must be a drop-in replacement for the generic solver's
+``rpo`` order, the only order the kernel runs: for every separable problem
+and every graph (plain CFGs, hot-path graphs, tiled paper-scale graphs), it
+must produce the same :class:`Solution` — values and work accounting alike
+— as the generic solver under ``rpo``.
 
-Same-strategy comparison is the meaningful contract.  The generic solver's
+Same-order comparison is the meaningful contract.  The generic solver's
 must-problem handling (``ALL`` collapsing to the empty set at a real block)
-makes its fixpoint *relax-order dependent* on graphs with mid-graph virtual
-vertices — ``test_tiled_views_expose_order_dependence`` pins one such graph
-where round-robin and RPO legitimately disagree with each other.  The
-kernel replicates each strategy's order exactly, so it lands on the same
-fixpoint as its generic twin in every case.
+makes its fixpoint *relax-order dependent*, e.g. on graphs with mid-graph
+virtual vertices — ``test_tiled_views_expose_order_dependence`` pins one
+such graph where the generic round-robin and RPO orders legitimately
+disagree with each other.  The kernel replicates the RPO order exactly, so
+it lands on the generic RPO fixpoint in every case.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.dataflow import (
     solve,
 )
 from repro.dataflow.compiled import AUTO_MIN_VERTICES
-from repro.dataflow.framework import SOLVER_STRATEGIES, SolverBudgetExceeded
+from repro.dataflow.framework import SolverBudgetExceeded
 from repro.dataflow.problems import (
     AvailableExpressions,
     ConstantPropagation,
@@ -54,29 +54,22 @@ SEPARABLE = (
 )
 
 
-def assert_engines_agree(view, *, strategies=SOLVER_STRATEGIES, stats=True):
-    """Compiled must equal generic per strategy: values, and optionally the
+def assert_engines_agree(view, *, stats=True):
+    """Compiled must equal generic under ``rpo``: values, and optionally the
     full work accounting (everything but the engine tag)."""
     for make in SEPARABLE:
-        for strategy in strategies:
-            g = solve(
-                make(view), view, engine="generic", strategy=strategy,
-                collect_stats=stats,
-            )
-            c = solve(
-                make(view), view, engine="compiled", strategy=strategy,
-                collect_stats=stats,
-            )
-            assert c.value_in == g.value_in, (make(view), strategy)
-            assert c.value_out == g.value_out, (make(view), strategy)
-            if stats:
-                assert g.stats.engine == "generic"
-                assert c.stats.engine == "compiled"
-                for field in ("visits", "visits_by_vertex", "peak_worklist",
-                              "pushes", "strategy"):
-                    assert getattr(c.stats, field) == getattr(g.stats, field), (
-                        make(view), strategy, field,
-                    )
+        g = solve(make(view), view, engine="generic", collect_stats=stats)
+        c = solve(make(view), view, engine="compiled", collect_stats=stats)
+        assert c.value_in == g.value_in, make(view)
+        assert c.value_out == g.value_out, make(view)
+        if stats:
+            assert g.stats.engine == "generic"
+            assert c.stats.engine == "compiled"
+            for field in ("visits", "visits_by_vertex", "peak_worklist",
+                          "pushes", "strategy"):
+                assert getattr(c.stats, field) == getattr(g.stats, field), (
+                    make(view), field,
+                )
 
 
 def _workload_views(name, ca=0.97, cr=0.95):
@@ -142,7 +135,7 @@ def test_engines_agree_on_tiled_views(example_module):
 def test_tiled_views_expose_order_dependence():
     """On graphs with mid-graph virtual vertices the *generic* solver's
     must-problem fixpoint depends on the relax order (the documented ALL
-    collapse); the kernel must match its generic twin on both sides of the
+    collapse); the kernel must match the generic solver's RPO side of the
     disagreement."""
     li95 = get_workload("li95")
     run = WorkloadRun(li95)
@@ -293,6 +286,24 @@ def test_bad_engine_rejected(example_module):
     with pytest.raises(ValueError, match="bad dataflow engine"):
         with engine_scope("simd"):
             pass
+
+
+def test_compiled_engine_runs_only_rpo(example_module):
+    """``round_robin`` is the generic engine's reference order: ``auto``
+    takes the generic loop for it, ``compiled`` refuses it, whether passed
+    or scoped."""
+    view = tile_view(
+        GraphView.from_function(example_module.function("work")), 3
+    )
+    assert view.cfg.num_vertices >= AUTO_MIN_VERTICES
+    sol = solve(LiveVariables(), view, strategy="round_robin",
+                collect_stats=True)
+    assert sol.stats.engine == "generic"
+    with pytest.raises(ValueError, match="only the rpo order"):
+        solve(LiveVariables(), view, strategy="round_robin", engine="compiled")
+    with engine_scope("compiled"):
+        with pytest.raises(ValueError, match="only the rpo order"):
+            solve(LiveVariables(), view, strategy="round_robin")
 
 
 def test_default_engine_scope(example_module):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.frontend import MiniCError, compile_program, parse_program, tokenize
 from repro.frontend.parser import MAX_NESTING
+from repro.frontend.sema import MAX_EXPR_DEPTH
 from repro.interp import run_module
 from repro.ir import validate_module
 
@@ -339,6 +340,102 @@ class TestNestingBound:
         try:
             job, _ = service.submit(
                 AnalysisRequest(source=nested("if", 600), name="deep.mc")
+            )
+            service.wait(job, timeout=60)
+        finally:
+            service.shutdown()
+        assert job.error.startswith("MiniCError: "), job.error
+
+
+# -- the expression-depth bound -----------------------------------------------
+
+
+def chain(terms, op="+"):
+    """A left-deep chain ``n op n op … op n``: ``terms`` nodes deep."""
+    return f" {op} ".join(["n"] * terms)
+
+
+def returning(expr, blocks=0):
+    """A ``main`` returning ``expr`` (on line 3) from inside ``blocks``
+    nested ``if`` bodies."""
+    tail = "\n  return 0;" if blocks else ""
+    return (
+        "func main(n) {\n  var x = 0;\n  "
+        + "if (n) { " * blocks + f"return {expr};" + " }" * blocks
+        + tail + "\n}\n"
+    )
+
+
+def parenthesised_chains(levels, terms):
+    """``levels`` nested parentheses, each holding a ``terms``-term chain:
+    few nesting levels for the parser, ``levels * (terms - 1)`` deep."""
+    expr = "n"
+    for _ in range(levels):
+        expr = "(" + expr + " + n" * (terms - 1) + ")"
+    return expr
+
+
+class TestExpressionDepthBound:
+    @pytest.mark.parametrize("terms", [500, 1000, 3000])
+    def test_long_chains_are_a_minic_error(self, terms):
+        with pytest.raises(MiniCError, match="expression deeper than") as exc:
+            compile_program(returning(chain(terms)))
+        assert exc.value.line == 3
+
+    def test_parenthesised_chains_are_a_minic_error(self):
+        with pytest.raises(MiniCError, match="expression deeper than"):
+            compile_program(returning(parenthesised_chains(60, 10)))
+
+    def test_limit_compiles_at_the_deepest_block_nesting(self):
+        """The heaviest lowering (a short-circuit chain, three frames per
+        level) at the depth limit, inside the deepest block nesting the
+        parser accepts around a statement."""
+        blocks = MAX_NESTING - 2
+        module = compile_program(
+            returning(chain(MAX_EXPR_DEPTH, "&&"), blocks)
+        )
+        validate_module(module)
+        assert run_src(returning(chain(MAX_EXPR_DEPTH, "&&"), blocks),
+                       args=[1]).return_value == 1
+        with pytest.raises(MiniCError, match="expression deeper than"):
+            compile_program(
+                returning(chain(MAX_EXPR_DEPTH + 1, "&&"), blocks)
+            )
+
+    def test_limit_compiles_in_a_daemon_worker(self):
+        from repro.service import AnalysisRequest, AnalysisService
+
+        source = returning(chain(MAX_EXPR_DEPTH, "&&"), MAX_NESTING - 2)
+        service = AnalysisService(jobs=1)
+        try:
+            job, _ = service.submit(
+                AnalysisRequest(source=source, name="limit.mc", args=(1,))
+            )
+            service.wait(job, timeout=120)
+        finally:
+            service.shutdown()
+        assert job.error is None, job.error
+
+    def test_cli_check_prints_one_line(self, tmp_path):
+        from repro.cli import main
+
+        deep = tmp_path / "chain.mc"
+        deep.write_text(returning(chain(3000)))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(deep)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message, message
+        assert message.startswith(
+            f"repro check: {deep}: line 3: expression deeper than"
+        )
+
+    def test_daemon_job_error_is_a_minic_error(self):
+        from repro.service import AnalysisRequest, AnalysisService
+
+        service = AnalysisService(jobs=1)
+        try:
+            job, _ = service.submit(
+                AnalysisRequest(source=returning(chain(1000)), name="c.mc")
             )
             service.wait(job, timeout=60)
         finally:

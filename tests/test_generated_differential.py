@@ -9,7 +9,9 @@ them:
   field, profiles included;
 * **dataflow** — ``solve(engine="compiled")`` and ``"generic"`` land on
   identical fixpoints for all five separable problems on every routine's
-  CFG, under every worklist strategy.
+  CFG under ``rpo``, the kernel's one order; the slow tier also holds the
+  generic ``round_robin`` reference order to that fixpoint wherever the
+  fixpoint does not depend on the order.
 
 The fast tier drives a small hypothesis sample of random specs (shrinking
 gives a minimal failing program shape if an engine ever diverges); the slow
@@ -23,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import GraphView, solve
-from repro.dataflow.framework import SOLVER_STRATEGIES
 from repro.dataflow.problems import (
     AvailableExpressions,
     CopyPropagation,
@@ -50,9 +51,16 @@ SEPARABLE = (
     lambda view: CopyPropagation(),
 )
 
+#: The union-meet problems among them, whose fixpoint is the least one
+#: whatever the relax order.  The intersection problems' ``ALL`` collapse
+#: makes theirs order-dependent, on plain CFGs too.
+UNION = SEPARABLE[:2]
 
-def assert_workload_parity(wl, *, strategies=("rpo",)):
-    """Both parities for one workload's train run and module."""
+
+def assert_workload_parity(wl, *, round_robin=False):
+    """Both parities for one workload's train run and module; with
+    ``round_robin`` the generic reference order must reach the ``rpo``
+    fixpoint of the union problems too."""
     module = compile_program(wl.source)
     results = {
         engine: Interpreter(module, profile_mode="bl", engine=engine).run(
@@ -65,11 +73,14 @@ def assert_workload_parity(wl, *, strategies=("rpo",)):
     for fn in module.functions.values():
         view = GraphView.from_function(fn)
         for make in SEPARABLE:
-            for strategy in strategies:
-                g = solve(make(view), view, engine="generic", strategy=strategy)
-                c = solve(make(view), view, engine="compiled", strategy=strategy)
-                assert c.value_in == g.value_in, (fn.name, make(view), strategy)
-                assert c.value_out == g.value_out, (fn.name, make(view), strategy)
+            g = solve(make(view), view, engine="generic")
+            c = solve(make(view), view, engine="compiled")
+            assert c.value_in == g.value_in, (fn.name, make(view))
+            assert c.value_out == g.value_out, (fn.name, make(view))
+            if round_robin and make in UNION:
+                rr = solve(make(view), view, strategy="round_robin")
+                assert rr.value_in == g.value_in, (fn.name, make(view))
+                assert rr.value_out == g.value_out, (fn.name, make(view))
 
 
 def assert_generated_tier_parity(wl):
@@ -118,9 +129,7 @@ def test_random_generated_programs_hold_both_parities(spec):
 )
 @given(spec=gen_specs)
 def test_random_generated_programs_hold_parities_all_strategies(spec):
-    assert_workload_parity(
-        generated_workload(spec), strategies=SOLVER_STRATEGIES
-    )
+    assert_workload_parity(generated_workload(spec), round_robin=True)
 
 
 @settings(
@@ -143,10 +152,9 @@ def test_gen_small_preset_parity():
 @pytest.mark.parametrize("name", sorted(GEN_PRESETS))
 def test_preset_parity_sweep(name):
     """Every preset — including the 1k-vertex acceptance target — holds
-    both parities under every strategy."""
+    both parities under both strategies."""
     assert_workload_parity(
-        generated_workload(GEN_PRESETS[name], name),
-        strategies=SOLVER_STRATEGIES,
+        generated_workload(GEN_PRESETS[name], name), round_robin=True
     )
 
 

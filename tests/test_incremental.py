@@ -420,3 +420,25 @@ def test_incremental_sweep_matches_plain_and_serves_warm(tmp_path):
         assert cold.cache_stats.misses.get(kind, 0) == 1
         assert warm.cache_stats.hits.get(kind, 0) == 1
     assert warm.cache_stats.total_misses == 0
+
+
+def test_checked_incremental_sweep_checks_every_cell(tmp_path):
+    """A checked sweep over a warm cell memo still runs the checkers: its
+    findings equal a plain checked sweep's, while the module, profiling
+    runs and qualified pipelines come from the disk cache."""
+    workloads, cas = ["compress95"], [0.0, 0.97]
+    plain = ParallelDriver(jobs=1, check=True).sweep(workloads, cas)
+    assert plain.diagnostics.records
+
+    cache_dir = str(tmp_path / "sweep-cache")
+    ParallelDriver(jobs=1, cache_dir=cache_dir, incremental=True).sweep(
+        workloads, cas
+    )
+    checked = ParallelDriver(
+        jobs=1, cache_dir=cache_dir, incremental=True, check=True
+    ).sweep(workloads, cas)
+    assert checked.diagnostics.records == plain.diagnostics.records
+    assert checked.artifacts() == plain.artifacts()
+    stats = checked.cache_stats
+    assert stats.total_misses == 0
+    assert stats.hits.get(KIND_QUALIFIED, 0) > 0

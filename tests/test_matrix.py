@@ -26,7 +26,7 @@ from repro.workloads.matrix import (
 )
 
 FAST_TARGETS = ("sieve", "gen-small")
-FAST_INSTANCES = ("base", "bitset")
+FAST_INSTANCES = ("base", "compiled")
 
 
 # -- resolution ---------------------------------------------------------------
@@ -75,19 +75,66 @@ def test_unknown_target_and_instance_rejected():
 def test_instance_validation():
     with pytest.raises(ValueError, match="bad engine"):
         Instance("x", engine="jit")
-    with pytest.raises(ValueError, match="bad strategy"):
-        Instance("x", strategy="random")
+    with pytest.raises(ValueError, match="bad solvers"):
+        Instance("x", solvers="simd")
 
 
 def test_registered_instances_cover_the_axes():
+    assert list(INSTANCES) == ["base", "reference", "compiled", "full-cover"]
     engines = {i.engine for i in INSTANCES.values()}
-    dataflow = {i.dataflow_engine for i in INSTANCES.values()}
-    strategies = {i.strategy for i in INSTANCES.values()}
+    solvers = {i.solvers for i in INSTANCES.values()}
     cas = {i.ca for i in INSTANCES.values()}
     assert engines == {"compiled", "reference"}
-    assert {"auto", "generic", "compiled"} <= dataflow
-    assert {"rpo", "lifo"} <= strategies
+    assert solvers == {"auto", "generic", "compiled"}
     assert 1.0 in cas
+
+
+#: Each kernel the ``compiled`` column forces (it replaced one column per
+#: kernel): its module, entry point, and the ``auto`` crossover below which
+#: the ``base`` column keeps the generic engine.
+_FORCED_KERNELS = {
+    "bitset": ("repro.dataflow.compiled", "solve_compiled", "AUTO_MIN_VERTICES"),
+    "wz-compiled": (
+        "repro.dataflow.wz_compiled",
+        "analyze_compiled",
+        "WZ_AUTO_MIN_VERTICES",
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_FORCED_KERNELS))
+def test_compiled_column_forces_kernel(kernel, monkeypatch):
+    """Under the ``compiled`` column's scope the cell pipeline runs the
+    kernel on routines below its ``auto`` crossover; under ``base`` it
+    does not.  (The parity stages pin both engines per call, so a column
+    that lost its scope would still pass its cells.)"""
+    import importlib
+
+    from repro.evaluation.harness import make_run
+
+    module_name, entry, crossover = _FORCED_KERNELS[kernel]
+    module = importlib.import_module(module_name)
+    real = getattr(module, entry)
+    sizes = []
+
+    def spy(*args, **kwargs):
+        view = args[1] if kernel == "bitset" else args[0]
+        sizes.append(view.cfg.num_vertices)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, entry, spy)
+    small = {}
+    for name in ("base", "compiled"):
+        instance = INSTANCES[name]
+        sizes.clear()
+        with instance.scopes():
+            run = make_run(
+                resolve_target("sieve"), engine=instance.engine, check=True
+            )
+            run.qualified(instance.ca, instance.cr)
+        small[name] = [n for n in sizes if n < getattr(module, crossover)]
+    assert small["base"] == []
+    assert small["compiled"]
 
 
 # -- cells --------------------------------------------------------------------
@@ -117,7 +164,7 @@ def test_cell_key_is_content_addressed():
     wl = resolve_target("sieve")
     base = cell_key(wl, INSTANCES["base"])
     assert base == cell_key(resolve_target("sieve"), INSTANCES["base"])
-    assert base != cell_key(wl, INSTANCES["bitset"])
+    assert base != cell_key(wl, INSTANCES["compiled"])
     assert base != cell_key(resolve_target("gen-small"), INSTANCES["base"])
 
 
@@ -125,7 +172,7 @@ def test_cell_key_outlives_cache_schema_bumps():
     """Archived cells are found by key; the key is pinned so an artifact
     cache schema bump cannot orphan an archive."""
     key = cell_key(resolve_target("sieve"), INSTANCES["base"])
-    assert key == "cc26a060e1b4a99b961499e59ebe95afd46c0d895ac18d73c4f7a9f0a440d379"
+    assert key == "20bb168ccf212911bdb2123d2e289a47fbc595c4d53f739831796a91348dbd68"
 
 
 # -- phases -------------------------------------------------------------------

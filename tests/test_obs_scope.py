@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.dataflow import wz_engine_scope
-from repro.dataflow.wegman_zadek import get_default_wz_engine
+from repro.dataflow import engine_scope, get_default_engine
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -163,15 +162,15 @@ def test_workload_pipeline_lands_in_request_scope():
 
 
 def test_engine_scopes_are_thread_local():
-    """The engine-default scopes ride the same contextvar machinery: one
+    """The engine-default scope rides the same contextvar machinery: one
     thread's override never bleeds into a concurrently running request."""
     barrier = threading.Barrier(2, timeout=30)
     seen: dict[str, str] = {}
 
     def request(name: str, engine: str):
-        with wz_engine_scope(engine):
+        with engine_scope(engine):
             barrier.wait()
-            seen[name] = get_default_wz_engine()
+            seen[name] = get_default_engine()
             barrier.wait()
 
     threads = [
@@ -183,4 +182,4 @@ def test_engine_scopes_are_thread_local():
     for t in threads:
         t.join(timeout=30)
     assert seen == {"a": "generic", "b": "compiled"}
-    assert get_default_wz_engine() == "auto"  # main thread untouched
+    assert get_default_engine() == "auto"  # main thread untouched

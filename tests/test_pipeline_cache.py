@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.dataflow import engine_scope, wz_engine_scope
+from repro.dataflow import engine_scope
 from repro.evaluation import CA_SWEEP, DEFAULT_CA, DEFAULT_CR, WorkloadRun
 from repro.obs import capture
 from repro.pipeline import (
@@ -249,7 +249,7 @@ def test_oracle_artifacts_serve_the_default_engines(tmp_path):
     engines, and equal a fresh compute."""
     workload = get_workload(WORKLOAD)
     cache = ArtifactCache(tmp_path)
-    with engine_scope("generic"), wz_engine_scope("generic"):
+    with engine_scope("generic"):
         oracle = WorkloadRun(workload, cache=cache)
         oracle.lint(DEFAULT_CA, DEFAULT_CR)
     fn_count = len(oracle.module.functions)

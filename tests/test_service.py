@@ -292,6 +292,40 @@ def test_parallel_sweep_spans_reach_the_request_trace():
     assert all(s.parent_id == sweep.span_id for s in jobs)
 
 
+def test_merged_trace_keeps_span_ids_unique_across_requests():
+    """Each request records into a scope tracer of its own; in the merged
+    trace every span id names one span, and every span's parent chain ends
+    at its own request's ``service.request`` span."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    service = AnalysisService(jobs=1, tracer=tracer)
+    try:
+        for ca in (0.97, 0.9):
+            job, _ = service.submit(AnalysisRequest(target="sieve", ca=ca))
+            service.wait(job, timeout=300)
+            assert job.error is None, job.error
+    finally:
+        service.shutdown()
+    spans = tracer.spans()
+    by_id = {s.span_id: s for s in spans}
+    assert len(by_id) == len(spans)
+
+    def root(span):
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+        return span
+
+    # One job at a time: a request's records are absorbed together and
+    # end with its (last finished) ``service.request`` span.
+    ends = [i for i, s in enumerate(spans) if s.name == "service.request"]
+    assert len(ends) == 2 and ends[-1] == len(spans) - 1
+    start = 0
+    for end in ends:
+        assert {root(s) for s in spans[start:end + 1]} == {spans[end]}
+        start = end + 1
+
+
 # -- job lifecycle ----------------------------------------------------------
 
 

@@ -195,7 +195,7 @@ def test_strategies_agree_on_irreducible_graph():
                 assert problem.equal(sol.value_out[v], sols[0].value_out[v])
 
 
-def test_rpo_does_less_work_than_lifo_on_a_chain():
+def test_rpo_visits_each_chain_vertex_at_most_twice():
     b = IRBuilder("f", ["p"])
     n = 30
     for i in range(n):
@@ -208,12 +208,11 @@ def test_rpo_does_less_work_than_lifo_on_a_chain():
     fn = b.finish()
     view = GraphView.from_function(fn)
     problem = ReachingDefinitions(fn.params, view.cfg.entry)
-    rpo = solve(problem, view, strategy="rpo", collect_stats=True)
-    lifo = solve(problem, view, strategy="lifo", collect_stats=True)
-    # RPO relaxes each chain vertex at most twice (once to leave top, once to
-    # confirm); the stack order pays a quadratic-ish revisit bill instead.
-    assert rpo.stats.max_visits_per_vertex <= 2
-    assert rpo.stats.visits < lifo.stats.visits
+    for engine in ("generic", "compiled"):
+        rpo = solve(problem, view, engine=engine, collect_stats=True)
+        # RPO relaxes each chain vertex at most twice (once to leave top,
+        # once to confirm) on either engine.
+        assert rpo.stats.max_visits_per_vertex <= 2, engine
 
 
 def test_budget_trips_on_non_monotone_transfer():

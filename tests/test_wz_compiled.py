@@ -15,8 +15,8 @@ from repro.dataflow import (
     ConstEnv,
     GraphView,
     analyze,
-    get_default_wz_engine,
-    wz_engine_scope,
+    engine_scope,
+    get_default_engine,
 )
 from repro.dataflow import wegman_zadek as wz
 from repro.dataflow import wz_dense
@@ -27,6 +27,7 @@ from repro.dataflow.wz_dense import (
     lower_transfer,
     run_program,
 )
+from repro.interp import Interpreter
 from repro.ir import IRBuilder
 
 
@@ -180,16 +181,37 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             analyze(view, engine="turbo")
         with pytest.raises(ValueError):
-            with wz_engine_scope("turbo"):
+            with engine_scope("turbo"):
                 pass
 
     def test_scope_sets_and_restores_default(self):
-        assert get_default_wz_engine() == "auto"
+        assert get_default_engine() == "auto"
         view = GraphView.from_function(straight_line())
-        with wz_engine_scope("compiled"):
-            assert get_default_wz_engine() == "compiled"
+        with engine_scope("compiled"):
+            assert get_default_engine() == "compiled"
             assert analyze(view).engine == "compiled"
-        assert get_default_wz_engine() == "auto"
+        assert get_default_engine() == "auto"
+
+    @pytest.mark.parametrize("engine", ["compiled", "generic"])
+    def test_scope_sets_all_three_qualified_runs(self, example_module, engine):
+        """One scope picks the engine of every WZ run of the pipeline, on
+        CFGs below the ``auto`` crossover too."""
+        from repro.core import run_qualified
+        from repro.workloads.running_example import training_run_inputs
+
+        n, inputs = training_run_inputs()
+        profiles = Interpreter(example_module, profile_mode="bl").run(
+            [n], inputs
+        ).profiles
+        for fname, fn in example_module.functions.items():
+            assert (
+                GraphView.from_function(fn).cfg.num_vertices
+                < WZ_AUTO_MIN_VERTICES
+            )
+            with engine_scope(engine):
+                qa = run_qualified(fn, profiles[fname], ca=1.0)
+            runs = (qa.baseline, qa.hpg_analysis, qa.reduced_analysis)
+            assert [r.engine for r in runs] == [engine] * 3, fname
 
 
 class TestLoweringCache:

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.qualified import run_qualified
-from repro.dataflow import GraphView, analyze, wz_engine_scope
+from repro.dataflow import GraphView, analyze, engine_scope
 from repro.frontend import compile_program
 from repro.interp import Interpreter
 from repro.profiles.path_profile import PathProfile
@@ -65,9 +65,9 @@ def assert_workload_wz_parity(wl):
         assert_engines_agree(GraphView.from_function(fn), f"{fname}@cfg")
 
         profile = train.profiles.get(fname, PathProfile())
-        with wz_engine_scope("generic"):
+        with engine_scope("generic"):
             qa_g = run_qualified(fn, profile, CA, CR)
-        with wz_engine_scope("compiled"):
+        with engine_scope("compiled"):
             qa_c = run_qualified(fn, profile, CA, CR)
         assert_analyses_match(qa_g.baseline, qa_c.baseline, f"{fname}@baseline")
         assert qa_g.hot_paths == qa_c.hot_paths, fname
