@@ -99,13 +99,17 @@ def _incremental_metrics(data):
 
 
 def _serve_metrics(data):
-    """Service daemon (bench_serve.py): the warm-cache amortization factor
-    and the concurrent-over-serial throughput ratio are host-transferable;
-    raw millisecond latencies are reported in the table only."""
-    return {
+    """Service daemon (bench_serve.py): the warm-cache amortization factor,
+    the concurrent-over-serial throughput ratio and the checked-over-
+    unchecked warm cost are host-transferable; raw millisecond latencies
+    are reported in the table only."""
+    out = {
         "warm_speedup": (data["warm_speedup"], "higher"),
         "concurrency_ratio": (data["concurrency_ratio"], "higher"),
     }
+    if "checked_over_unchecked" in data:
+        out["checked_over_unchecked"] = (data["checked_over_unchecked"], "lower")
+    return out
 
 
 TRACKED = {

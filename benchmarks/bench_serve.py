@@ -11,7 +11,11 @@ loopback socket, real worker pool):
   for the same configuration (gated: the cache must buy at least 3x);
 * ``concurrent_throughput`` — requests/second with 4 clients hammering a
   warm daemon, and its ratio to serial warm throughput (reported; the gate
-  only requires concurrency not to *lose* against serial).
+  only requires concurrency not to *lose* against serial);
+* ``checked_over_unchecked`` — best warm request with the checkers on (the
+  daemon's default) over best warm request with them off.  A warm checked
+  request replays the verdicts of the artifacts it is served, so it must
+  cost at most 2x an unchecked one.
 
 Writes ``BENCH_serve.json`` for the mechanical diff in ``bench_diff.py``.
 """
@@ -34,6 +38,8 @@ MIN_WARM_SPEEDUP = 3.0
 #: Concurrent clients must at least match one serial client's throughput
 #: (they share the worker pool; the gate catches an accidental global lock).
 MIN_CONCURRENCY_RATIO = 0.9
+#: A warm checked request may cost at most this many unchecked ones.
+MAX_CHECKED_OVER_UNCHECKED = 2.0
 
 
 def _timed(fn):
@@ -61,6 +67,15 @@ def compute_bench_serve(tmp_dir: str) -> dict:
             warm_times.append(seconds)
         warm_best = min(warm_times)
 
+        # The first checked request checks the warm artifacts; later ones
+        # replay those verdicts.
+        checked = AnalysisRequest(target=TARGET, check=True)
+        client.analyze(checked, timeout=120)
+        checked_best = min(
+            _timed(lambda: client.analyze(checked, timeout=120))[0]
+            for _ in range(WARM_REQUESTS)
+        )
+
         serial_seconds = sum(warm_times)
         serial_throughput = WARM_REQUESTS / serial_seconds
 
@@ -85,6 +100,8 @@ def compute_bench_serve(tmp_dir: str) -> dict:
             "warm_best_ms": warm_best * 1000,
             "warm_mean_ms": serial_seconds / WARM_REQUESTS * 1000,
             "warm_speedup": cold_seconds / warm_best,
+            "warm_checked_best_ms": checked_best * 1000,
+            "checked_over_unchecked": checked_best / warm_best,
             "serial_throughput_rps": serial_throughput,
             "concurrent_throughput_rps": concurrent_throughput,
             "concurrency_ratio": concurrent_throughput / serial_throughput,
@@ -111,6 +128,8 @@ def test_bench_serve(benchmark, record, record_json, tmp_path_factory):
                 ["warm best (ms)", f"{data['warm_best_ms']:.1f}"],
                 ["warm mean (ms)", f"{data['warm_mean_ms']:.1f}"],
                 ["warm speedup", f"{data['warm_speedup']:.1f}x"],
+                ["warm checked best (ms)", f"{data['warm_checked_best_ms']:.1f}"],
+                ["checked / unchecked", f"{data['checked_over_unchecked']:.2f}x"],
                 ["serial warm rps", f"{data['serial_throughput_rps']:.1f}"],
                 [
                     f"{CLIENTS}-client rps",
@@ -127,6 +146,11 @@ def test_bench_serve(benchmark, record, record_json, tmp_path_factory):
     assert data["warm_speedup"] >= MIN_WARM_SPEEDUP, (
         f"warm requests only {data['warm_speedup']:.1f}x faster than cold "
         f"(need >= {MIN_WARM_SPEEDUP}x): the shared cache is not being hit"
+    )
+    assert data["checked_over_unchecked"] <= MAX_CHECKED_OVER_UNCHECKED, (
+        f"warm checked requests cost {data['checked_over_unchecked']:.2f}x "
+        f"unchecked ones (need <= {MAX_CHECKED_OVER_UNCHECKED}x): checker "
+        f"verdicts are not being replayed"
     )
     assert data["concurrency_ratio"] >= MIN_CONCURRENCY_RATIO, (
         f"{CLIENTS} concurrent clients reach only "

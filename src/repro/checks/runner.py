@@ -8,7 +8,9 @@ therefore imported lazily, never from ``repro.checks.__init__``):
 * :class:`PipelineChecker` — the hook object a
   :class:`~repro.evaluation.harness.WorkloadRun` calls after each stage,
   with :data:`NULL_CHECKER` as the zero-overhead disabled default
-  (null-object pattern, same shape as the observability layer);
+  (null-object pattern, same shape as the observability layer).  Its hooks
+  replay the verdict of objects they were handed before (see
+  :class:`_Verdicts`);
 * convenience entry points used by the ``repro check`` CLI and the tests:
   :func:`check_module`, :func:`check_run_result`, :func:`check_qualified`,
   :func:`check_workload_run`, and :func:`check_program`.
@@ -16,13 +18,16 @@ therefore imported lazily, never from ``repro.checks.__init__``):
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Any, Mapping, Optional
 
 from ..ir.cfg import Cfg
+from ..obs import get_metrics, get_tracer
 from ..profiles.recording import recording_edges
 from .automaton_checks import check_automaton
 from .dataflow_checks import check_dataflow
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostic, Diagnostics
 from .engine import CheckContext, CheckPass, run_passes
 from .hpg_checks import check_hpg
 from .ir_checks import check_module_ir
@@ -134,12 +139,61 @@ QUALIFIED_PASSES = (AutomatonPass(), HpgPass(), DataflowPass())
 ALL_PASSES = MODULE_PASSES + RUN_PASSES + QUALIFIED_PASSES
 
 
+class _Verdicts:
+    """The records each hook's passes emitted, by the identity of the
+    objects those passes read.
+
+    Cached artifacts are never mutated, so a verdict holds for as long as
+    the objects it was found on live.  An entry keeps only weak references
+    to them: the table never keeps an artifact alive, and an entry matches
+    only while each reference still points at the very object handed in,
+    so a reused ``id`` never does.  Entries whose objects died are swept
+    whenever the table has doubled.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, tuple[tuple, tuple[Diagnostic, ...]]] = {}
+        self._sweep_at = 64
+
+    def lookup(self, key: tuple, objs: tuple) -> Optional[tuple[Diagnostic, ...]]:
+        with self._lock:
+            entry = self._entries.get((key, tuple(map(id, objs))))
+        if entry is None:
+            return None
+        refs, records = entry
+        if all(ref() is obj for ref, obj in zip(refs, objs)):
+            return records
+        return None
+
+    def record(self, key: tuple, objs: tuple, records: tuple[Diagnostic, ...]) -> None:
+        refs = tuple(weakref.ref(obj) for obj in objs)
+        with self._lock:
+            self._entries[(key, tuple(map(id, objs)))] = (refs, records)
+            if len(self._entries) >= self._sweep_at:
+                self._entries = {
+                    k: entry
+                    for k, entry in self._entries.items()
+                    if all(ref() is not None for ref in entry[0])
+                }
+                self._sweep_at = 2 * max(len(self._entries), 32)
+
+
+#: Process-wide: every request builds its own checker over the shared cache.
+_VERDICTS = _Verdicts()
+
+
 class PipelineChecker:
     """Runs the check passes after each pipeline stage of a workload run.
 
     Installed on a :class:`~repro.evaluation.harness.WorkloadRun` via its
     ``checker`` argument; findings from every stage accumulate in
     :attr:`diagnostics`.
+
+    A hook handed the same objects as an earlier hook call (a memory hit of
+    the artifact cache) appends that call's records again instead of
+    running its passes; a recompute or a disk load yields new objects,
+    which are checked.  The direct entry points below always run.
     """
 
     enabled = True
@@ -148,29 +202,50 @@ class PipelineChecker:
         self.diagnostics = Diagnostics()
 
     def after_compile(self, workload: str, module) -> None:
-        run_passes(
+        self._check(
             MODULE_PASSES,
             CheckContext(workload=workload, stage="compile", module=module),
-            self.diagnostics,
+            ("compile",),
+            (module,),
         )
 
     def after_run(self, workload: str, stage: str, module, result) -> None:
-        run_passes(
+        self._check(
             RUN_PASSES,
             CheckContext(
                 workload=workload, stage=stage, module=module, result=result
             ),
-            self.diagnostics,
+            ("run",),
+            (module, result),
         )
 
     def after_qualified(
         self, workload: str, qualified: Mapping[str, Any]
     ) -> None:
-        run_passes(
+        self._check(
             QUALIFIED_PASSES,
             CheckContext(workload=workload, stage="qualify", qualified=qualified),
-            self.diagnostics,
+            ("qualify", *qualified),
+            tuple(qualified.values()),
         )
+
+    def _check(self, passes, ctx: CheckContext, key: tuple, objs: tuple) -> None:
+        """Run ``passes`` over ``ctx`` and remember what they emitted for
+        ``objs``, or replay what they emitted for these very objects."""
+        records = _VERDICTS.lookup(key, objs)
+        if records is None:
+            before = len(self.diagnostics)
+            run_passes(passes, ctx, self.diagnostics)
+            _VERDICTS.record(key, objs, self.diagnostics.records[before:])
+            return
+        with get_tracer().span(
+            "check.replay", workload=ctx.workload, stage=ctx.stage
+        ) as span:
+            self.diagnostics.extend(records)
+        span.set(findings=len(records))
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("check_replays", stage=ctx.stage).inc()
 
 
 class _NullChecker:

@@ -41,6 +41,7 @@ from ..pipeline.cache import (
     KIND_MODULE,
     KIND_QUALIFIED,
     KIND_REF_RUN,
+    KIND_TABLE2,
     KIND_TRAIN_RUN,
     content_key,
     data_digest,
@@ -113,7 +114,8 @@ class WorkloadRun:
     * qualified pipelines and lint — **per function**: the function's IR
       fingerprint, that routine's profile fingerprint, CA and CR (and the
       lint's ``min_mass``), so an edit to ``f`` leaves ``g``'s artifacts
-      warm — what makes :mod:`repro.pipeline.incremental` cheap.
+      warm — what makes :mod:`repro.pipeline.incremental` cheap;
+    * Table-2 costs — both run keys, CA and CR.
 
     No engine enters a key: the differential suites prove every engine equal
     to its oracle, so an artifact computed under any engine serves all.
@@ -316,8 +318,9 @@ class WorkloadRun:
                     )
                     for name, fn in self.module.functions.items()
                 }
-            # Also covers cache hits: a corrupted cached artifact fails its
-            # invariants just like a fresh one.
+            # Also covers cache hits: an artifact loaded from disk is
+            # checked like a fresh one, and a memory hit replays the verdict
+            # of the very object it returns.
             if self.checker.enabled:
                 self.checker.after_qualified(
                     self.workload.name, self._qualified[key]
@@ -434,11 +437,18 @@ class WorkloadRun:
 
     # -- executables (Table 2) ---------------------------------------------------
 
-    def build_base_module(self) -> Module:
-        """Original CFG + Wegman–Zadek folding + DCE + layout."""
+    def build_base_module(
+        self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR
+    ) -> Module:
+        """Original CFG + Wegman–Zadek folding + DCE + layout.
+
+        The baseline solve runs on the original CFG before hot paths are
+        selected, so every (CA, CR) bundle carries the same one; reading it
+        from the bundle the optimized build uses costs no extra level."""
+        qualified = self.qualified(ca, cr)
         return self._finish_module(
             (
-                fold_function(fn, self.qualified(0.0)[name].baseline),
+                fold_function(fn, qualified[name].baseline),
                 self.train_profile(name).edge_frequencies(),
             )
             for name, fn in self.module.functions.items()
@@ -498,12 +508,31 @@ class WorkloadRun:
     def table2(self, ca: float = DEFAULT_CA, cr: float = DEFAULT_CR) -> Table2Row:
         """Run base and optimized builds on the ref input and compare costs.
 
-        Raises if either build changes observable behaviour.
+        The two costs are cached under the run keys, CA and CR, so the row
+        carries this run's name while programs of equal content share the
+        costs.  The bundles are looked up first either way, so a checked
+        run verifies what the builds read whether or not the costs hit.
+        Raises if either build changes observable behaviour; nothing is
+        cached then.
         """
+        self.qualified(ca, cr)
+        base_cost, optimized_cost = self._memo(
+            KIND_TABLE2,
+            content_key("table2", *self.run_keys(), ca, cr),
+            lambda: self._table2_costs(ca, cr),
+        )
+        return Table2Row(
+            name=self.workload.name,
+            base_cost=base_cost,
+            optimized_cost=optimized_cost,
+        )
+
+    def _table2_costs(self, ca: float, cr: float) -> tuple[int, int]:
+        """(base, optimized) cost of the two builds on the ref input."""
         with self.tracer.span(
             "workload.build_base", workload=self.workload.name
         ):
-            base = self.build_base_module()
+            base = self.build_base_module(ca, cr)
         with self.tracer.span(
             "workload.build_optimized", workload=self.workload.name, ca=ca, cr=cr
         ):
@@ -523,11 +552,7 @@ class WorkloadRun:
             raise AssertionError(
                 f"{self.workload.name}: optimized build changed behaviour"
             )
-        return Table2Row(
-            name=self.workload.name,
-            base_cost=base_run.cost,
-            optimized_cost=opt_run.cost,
-        )
+        return base_run.cost, opt_run.cost
 
 
 def make_run(
@@ -539,7 +564,8 @@ def make_run(
     """A run over ``cache`` (a private memory-only one when ``None``).
 
     With ``check=True`` a fresh :class:`~repro.checks.runner.PipelineChecker`
-    verifies every stage (including cached artifacts) as it completes.
+    verifies every stage (including cached artifacts) as it completes; an
+    artifact the cache returns from memory replays its recorded verdict.
     """
     from ..checks.runner import PipelineChecker
 

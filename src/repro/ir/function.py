@@ -121,11 +121,13 @@ class ArrayDecl:
         return data
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class Module:
     """A compiled program: global arrays plus functions.
 
     ``main`` is the conventional entry point used by the interpreter.
+    Weakly referenceable, so the checker can remember a verdict per module
+    without keeping the module alive.
     """
 
     functions: dict[str, Function] = field(default_factory=dict)

@@ -23,6 +23,7 @@ from .cache import (
     KIND_REF_RUN,
     KIND_SWEEP_CELL,
     KIND_SWEEP_SUMMARY,
+    KIND_TABLE2,
     KIND_TRAIN_RUN,
     SCHEMA_VERSION,
     content_key,
@@ -70,6 +71,7 @@ __all__ = [
     "KIND_REF_RUN",
     "KIND_SWEEP_CELL",
     "KIND_SWEEP_SUMMARY",
+    "KIND_TABLE2",
     "KIND_TRAIN_RUN",
     "make_run",
     "ParallelDriver",

@@ -41,6 +41,8 @@ from ..obs import get_metrics, get_tracer
 #: v3: engines left the qualified, lint and sweep-cell/summary keys.
 #: v4: train/ref-run and sweep keys take each data set's
 #: :func:`data_digest` instead of its canonicalized arrays.
+#: Keys cover content, not code: a change to an opt pass's output or to the
+#: interpreter's cost model changes cached Table-2 costs and needs a bump.
 SCHEMA_VERSION = 4
 
 #: Artifact kinds the pipeline stores; each gets its own subdirectory and
@@ -50,6 +52,7 @@ KIND_TRAIN_RUN = "train-run"
 KIND_REF_RUN = "ref-run"
 KIND_QUALIFIED = "qualified"
 KIND_LINT = "lint"
+KIND_TABLE2 = "table2"
 KIND_SWEEP_CELL = "sweep-cell"
 KIND_SWEEP_SUMMARY = "sweep-summary"
 

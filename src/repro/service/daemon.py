@@ -260,6 +260,7 @@ class AnalysisService:
     def _run_job(self, job: Job) -> None:
         job.state = RUNNING
         start = time.perf_counter()
+        cpu_start = time.thread_time()
         scope_tracer = Tracer()
         scope_registry = MetricsRegistry()
         try:
@@ -298,6 +299,11 @@ class AnalysisService:
             ).inc()
             self.registry.histogram("service_request_latency_ms").observe(
                 job.duration * 1000.0
+            )
+            # The workers share one interpreter lock, so latency includes
+            # waiting for it; this thread's CPU time does not.
+            self.registry.histogram("service_request_cpu_ms").observe(
+                (time.thread_time() - cpu_start) * 1000.0
             )
             self._retire(job)
 

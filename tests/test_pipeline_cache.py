@@ -17,11 +17,12 @@ import threading
 import pytest
 
 from repro.dataflow import engine_scope
-from repro.evaluation import CA_SWEEP, DEFAULT_CA, DEFAULT_CR, WorkloadRun
+from repro.evaluation import CA_SWEEP, DEFAULT_CA, DEFAULT_CR, Workload, WorkloadRun
 from repro.obs import capture
 from repro.pipeline import (
     COMPILE_PROFILE_KINDS,
     KIND_QUALIFIED,
+    KIND_TABLE2,
     ArtifactCache,
     content_key,
     data_digest,
@@ -410,3 +411,107 @@ def test_workload_digests_are_computed_once():
     assert workload.ref_digest == data_digest(workload.ref_args, workload.ref_inputs)
     assert workload.train_digest != workload.ref_digest
     assert {"train_digest", "ref_digest"} <= set(vars(workload))
+
+
+# -- Table-2 costs ---------------------------------------------------------------
+
+
+#: Summing loop whose result the Table-2 output check compares.
+TABLE2_SOURCE = """
+func main(n) {
+  var s = 0;
+  var i = 0;
+  while (i < n) {
+    if (i < 3) { s = s + 2; } else { s = s + i; }
+    i = i + 1;
+  }
+  print(s);
+  return s;
+}
+"""
+
+
+def _table2_workload(name: str = "sum") -> Workload:
+    return Workload(
+        name=name,
+        source=TABLE2_SOURCE,
+        train_args=(40,),
+        train_inputs={},
+        ref_args=(60,),
+        ref_inputs={},
+    )
+
+
+def test_warm_table2_row_equals_a_cacheless_request():
+    from repro.service import AnalysisRequest, comparable_payload, execute_request
+
+    request = AnalysisRequest(target="compress95", table2=True)
+    cache = ArtifactCache()
+    execute_request(request, cache)
+    warm = execute_request(request, cache)
+    assert cache.stats.hits.get(KIND_TABLE2) == 1
+    assert cache.stats.misses.get(KIND_TABLE2) == 1
+    assert comparable_payload(warm) == comparable_payload(execute_request(request))
+
+
+def test_second_table2_runs_no_interpreter_and_no_opt_pass(monkeypatch):
+    from repro.evaluation import harness
+
+    cache = ArtifactCache()
+    row = WorkloadRun(_table2_workload(), cache=cache).table2()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm Table-2 row ran a build")
+
+    for name in (
+        "Interpreter",
+        "fold_function",
+        "materialize",
+        "eliminate_dead_code",
+        "straighten",
+        "layout_function",
+    ):
+        monkeypatch.setattr(harness, name, refuse)
+    assert WorkloadRun(_table2_workload(), cache=cache).table2() == row
+
+
+def test_build_that_changes_behaviour_is_not_cached(tmp_path, monkeypatch):
+    from repro.frontend.lower import compile_program
+
+    cache = ArtifactCache(tmp_path)
+    run = WorkloadRun(_table2_workload(), cache=cache)
+    wrong = compile_program(TABLE2_SOURCE.replace("s + 2", "s + 3"))
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            WorkloadRun, "build_optimized_module", lambda self, ca, cr: wrong
+        )
+        with pytest.raises(AssertionError, match="changed behaviour"):
+            run.table2()
+    assert cache.stats.stores.get(KIND_TABLE2, 0) == 0
+    assert not (tmp_path / KIND_TABLE2).exists()
+    row = run.table2()
+    assert cache.stats.misses[KIND_TABLE2] == 2
+    assert row.base_cost > 0 and row.optimized_cost > 0
+
+
+def test_programs_of_equal_content_share_costs_not_names():
+    cache = ArtifactCache()
+    first = WorkloadRun(_table2_workload("first"), cache=cache).table2()
+    second = WorkloadRun(_table2_workload("second"), cache=cache).table2()
+    assert (first.name, second.name) == ("first", "second")
+    assert (first.base_cost, first.optimized_cost) == (
+        second.base_cost,
+        second.optimized_cost,
+    )
+    assert cache.stats.hits[KIND_TABLE2] == 1
+
+
+@pytest.mark.parametrize("name", ["compress95", "gen-small"])
+def test_base_build_reads_the_baseline_of_any_coverage(name):
+    """The baseline solve runs before hot paths are selected, so the base
+    build folds the same module from the default-coverage bundle as from
+    the CA = 0 one."""
+    from repro.workloads.matrix import resolve_target
+
+    run = WorkloadRun(resolve_target(name))
+    assert str(run.build_base_module()) == str(run.build_base_module(0.0))
