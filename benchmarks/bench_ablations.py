@@ -272,7 +272,9 @@ def compute_train_input_sensitivity(runs):
         oracle_total = 0
         for fn_name, fn in run.module.functions.items():
             qa = run_qualified(fn, run.ref_profile(fn_name), ca=0.97)
-            c = classify_constants(qa, run.ref_profile(fn_name), run.ref.site_stats)
+            c = classify_constants(
+                qa, run.ref_profile(fn_name), run.ref.tainted.get(fn_name, 0)
+            )
             oracle_total += c.qualified_nonlocal
         retention = normal / oracle_total if oracle_total else 1.0
         rows.append([name, normal, oracle_total, f"{retention:.1%}"])

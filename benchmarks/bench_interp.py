@@ -17,11 +17,12 @@ code and the generated code itself.  The lowering happens when the
 repetition; the running example never does, so its figure bounds the
 micro-op loop alone.  The ``long_train`` case is shaped like perfbench's
 profile-heavy programs (one generated function of about 40 blocks, a train
-input of about 310k instructions, ``profile_mode="bl"`` without site
-statistics).
+input of about 310k instructions, ``profile_mode="bl"`` without taint
+counting).
 """
 
 import time
+from statistics import median
 
 from repro.evaluation import format_table
 from repro.frontend import compile_program
@@ -55,19 +56,8 @@ MAX_OBS_OFF_REGRESSION = 0.05
 #: relative to one running every invariant checker, i.e. the disabled hooks
 #: themselves must be free.
 MAX_CHECK_OFF_REGRESSION = 0.05
-
-
-def _best_of(n, fn):
-    """Best wall-clock of ``n`` runs (discards scheduler noise)."""
-    best = None
-    result = None
-    for _ in range(n):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+#: (disabled, enabled) pipeline builds timed for the checker overhead.
+CHECK_OVERHEAD_PAIRS = 7
 
 
 #: profile-heavy's shape: one function of about 40 blocks without inner
@@ -163,26 +153,34 @@ def compute_bench_obs_overhead():
 def compute_bench_check_overhead():
     """Full compress95 pipeline (compile, two profiled runs, qualification)
     with the default null checker vs. a live :class:`PipelineChecker`
-    verifying every stage."""
+    verifying every stage.
+
+    A build takes tens of milliseconds, so host drift between two sides
+    timed one after the other swamps the overhead.  Instead,
+    :data:`CHECK_OVERHEAD_PAIRS` (disabled, enabled) pairs run back to back,
+    alternating which side goes first, and the ratio is the median of the
+    per-pair ratios."""
     from repro.checks.runner import PipelineChecker
     from repro.evaluation.harness import WorkloadRun
 
-    def measure(make_checker):
-        def build():
-            run = WorkloadRun(
-                get_workload("compress95"), checker=make_checker()
-            )
-            run.qualified(0.97, 0.95)
+    def build(make_checker):
+        t0 = time.perf_counter()
+        run = WorkloadRun(get_workload("compress95"), checker=make_checker())
+        run.qualified(0.97, 0.95)
+        return time.perf_counter() - t0
 
-        seconds, _ = _best_of(2, build)
-        return seconds
-
-    disabled = measure(lambda: None)
-    enabled = measure(PipelineChecker)
+    checkers = {"disabled": lambda: None, "enabled": PipelineChecker}
+    order = tuple(checkers)
+    seconds = {side: [] for side in order}
+    for i in range(CHECK_OVERHEAD_PAIRS):
+        for side in order if i % 2 == 0 else order[::-1]:
+            seconds[side].append(build(checkers[side]))
     return {
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "enabled_over_disabled": enabled / disabled,
+        "disabled_seconds": median(seconds["disabled"]),
+        "enabled_seconds": median(seconds["enabled"]),
+        "enabled_over_disabled": median(
+            on / off for on, off in zip(seconds["enabled"], seconds["disabled"])
+        ),
     }
 
 

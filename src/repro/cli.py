@@ -204,7 +204,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     with _capture(args):
         module = _load_module(args, args.file)
-        interp = Interpreter(module, profile_mode="bl", engine="compiled")
+        interp = Interpreter(
+            module, profile_mode="bl", track_sites=False, engine="compiled"
+        )
         result = interp.run(args.args, _parse_inputs(args))
     for values in result.output:
         print(" ".join(str(v) for v in values))

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from ..automaton.minimize import hopcroft_refine, quotient_map
 from ..dataflow.lattice import UNREACHABLE, EnvValue, meet_env
 from ..dataflow.local import local_constant_sites
-from ..dataflow.transfer import transfer_instr
 from ..dataflow.wegman_zadek import CondConstResult
+from ..dataflow.wz_dense import lower_transfer, run_program
 from ..ir.cfg import Cfg
 from ..profiles.path_profile import PathProfile
 from .hot_path_graph import HotPathGraph, HpgVertex, ReducedGraph
@@ -164,15 +164,17 @@ def compatibility_partition(
 
 
 def _constants_under(block, env: EnvValue) -> dict[int, int]:
-    """Constant pure sites of ``block`` when entered with ``env``."""
+    """Constant pure sites of ``block`` when entered with ``env`` (loads and
+    calls evaluate to BOT, so every int result is a pure site's)."""
     if block is None or env is UNREACHABLE:
         return {}
-    values: dict[int, int] = {}
-    for idx, instr in enumerate(block.instrs):
-        env, value = transfer_instr(instr, env)
-        if instr.dest is not None and instr.is_pure and isinstance(value, int):
-            values[idx] = value
-    return values
+    program = lower_transfer(block)
+    results = run_program(program, env.to_dict())
+    return {
+        idx: value
+        for idx, value in zip(program.sites, results)
+        if isinstance(value, int)
+    }
 
 
 def _try_join(

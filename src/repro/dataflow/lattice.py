@@ -91,7 +91,8 @@ class ConstEnv:
     @classmethod
     def _from_raw(cls, values: dict[str, FlatValue]) -> "ConstEnv":
         """Adopt ``values`` (no TOP entries, caller-owned) without copying —
-        the decode path of the dense engines."""
+        the decode path of the dense engines and of memoized block
+        evaluations."""
         env = cls()
         env._values = values
         return env

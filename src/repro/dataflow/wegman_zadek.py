@@ -149,7 +149,7 @@ class CondConstResult:
             out = self.input_env(vertex)  # identity transfer / UNREACHABLE
         else:
             _, _, values = entry
-            out = ConstEnv(values)
+            out = ConstEnv._from_raw(values)
         memo[vertex] = out
         return out
 

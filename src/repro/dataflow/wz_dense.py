@@ -152,7 +152,9 @@ def run_program(
     """Evaluate a lowered block over ``values`` (mutated in place).
 
     ``values`` maps variable names to flat lattice values; absent names are
-    TOP.  Returns the abstract result of each step, aligned with
+    TOP.  A TOP result is stored as an absence, so ``values`` ends in the
+    form a :class:`~repro.dataflow.lattice.ConstEnv` holds (no TOP
+    entries).  Returns the abstract result of each step, aligned with
     ``program.sites`` — exactly what
     :func:`~repro.dataflow.transfer.block_site_values` computes by
     re-walking the instruction list.
@@ -195,6 +197,9 @@ def run_program(
                 v = step[2](a)
         else:  # W_BOT
             v = BOT
-        values[step[1]] = v
+        if v is TOP:
+            values.pop(step[1], None)
+        else:
+            values[step[1]] = v
         append(v)
     return results

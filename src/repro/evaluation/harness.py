@@ -380,7 +380,9 @@ class WorkloadRun:
             ):
                 self._classified[key] = {
                     name: classify_constants(
-                        qa, self.ref_profile(name), self.ref.site_stats
+                        qa,
+                        self.ref_profile(name),
+                        self.ref.tainted.get(name, 0),
                     )
                     for name, qa in qualified.items()
                 }

@@ -6,8 +6,6 @@ from .interpreter import (
     ExecutionLimit,
     Interpreter,
     RunResult,
-    Site,
-    SiteStats,
     Trap,
     run_module,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "NullProfiler",
     "RunResult",
     "run_module",
-    "Site",
-    "SiteStats",
     "TraceProfiler",
     "Trap",
 ]

@@ -3,12 +3,13 @@
 The micro-op loop of :mod:`repro.interp.compiled` pays for its generality
 on every executed instruction: it unpacks an op tuple, branches on its
 opcode, reads and writes a list frame, and updates taint bits that only
-site statistics read.  This module prints one function's lowering (its
+the taint count reads.  This module prints one function's lowering (its
 :class:`~repro.interp.compiled._CompiledFunction` tuples, never the IR) as
 straight-line Python over locals and compiles it:
 
-* slots become locals ``s0 … sN``; taint locals ``t0 … tN`` and the
-  site-statistics updates exist only when the module tracks sites;
+* slots become locals ``s0 … sN``; taint locals ``t0 … tN`` and the taint
+  count ``nt`` exist only when the module tracks sites, and ``nt`` is added
+  to the routine's entry of the run's count on return;
 * blocks dispatch inside one ``while True`` through a binary ``if b < k``
   tree; each block does the loop's bookkeeping with literal values (block
   count, instruction count with the step-budget check, and cost);
@@ -207,9 +208,7 @@ class _Writer:
         if any(op[0] == _PRINT for op in all_ops):
             emit(1, "out = st.output")
         if self.sites:
-            emit(1, "se = st.site_exec")
-            emit(1, "stt = st.site_taint")
-            emit(1, "so = st.site_obs")
+            emit(1, "nt = 0")
         emit(1, "try:")
         emit(2, "while True:")
         self.dispatch(0, len(cf.labels), 3)
@@ -265,6 +264,9 @@ class _Writer:
             if self.bl:
                 # The edge into the virtual exit is recording.
                 emit(depth, f"counts[bs, r + {exit_entry[3]}] += 1")
+            if self.sites:
+                emit(depth, "if nt:")
+                emit(depth + 1, f"st.tainted[{self.ref(cf.name)}] += nt")
             emit(depth, "st.instr_count = n")
             emit(depth, f"st.cost += c + {base + exit_entry[1]}")
             emit(depth, "st.depth -= 1")
@@ -292,7 +294,7 @@ class _Writer:
         emit = self.emit
         o = op[0]
         if o == _BIN_VV or o == _BIN_VC or o == _BIN_CV:
-            _, d, f, a, b, s = op
+            _, d, f, a, b = op
             lhs = _int(a) if o == _BIN_CV else f"s{a}"
             rhs = _int(b) if o == _BIN_VC else f"s{b}"
             template = _INLINE_BINOPS.get(f)
@@ -305,32 +307,32 @@ class _Writer:
                 taint = f"t{a} or t{b}"
             else:
                 taint = f"t{a}" if o == _BIN_VC else f"t{b}"
-            self.define(d, taint, s, depth)
+            self.define(d, taint, depth)
         elif o == _MOV_C:
-            _, d, v, s = op
+            _, d, v = op
             emit(depth, f"s{d} = {_int(v)}")
-            self.define(d, "False", s, depth)
+            self.define(d, "False", depth)
         elif o == _MOV_V:
-            _, d, a, s = op
+            _, d, a = op
             self.check_defined(a, depth)
             emit(depth, f"s{d} = s{a}")
-            self.define(d, f"t{a}", s, depth)
+            self.define(d, f"t{a}", depth)
         elif o == _UN_V:
-            _, d, f, a, s = op
+            _, d, f, a = op
             template = _INLINE_UNOPS.get(f)
             if template is None:
                 expr = f"{self.ref(f)}(s{a})"
             else:
                 expr = template.format(f"s{a}")
             emit(depth, f"s{d} = {expr}")
-            self.define(d, f"t{a}", s, depth)
+            self.define(d, f"t{a}", depth)
         elif o == _LOAD_V or o == _LOAD_C:
-            _, d, a, i, s = op
+            _, d, a, i = op
             index = f"s{i}" if o == _LOAD_V else _int(i)
             emit(depth, f"if not 0 <= {index} < z{a}:")
             emit(depth + 1, f"raise _load_oob({index}, {a}, z{a})")
             emit(depth, f"s{d} = m{a}[{index}]")
-            self.define(d, "True", s, depth)
+            self.define(d, "True", depth)
         elif o <= _STORE_CC:
             _, a, i, v = op
             index = f"s{i}" if o == _STORE_VV or o == _STORE_VC else _int(i)
@@ -345,7 +347,7 @@ class _Writer:
             emit(depth + 1, f"raise _store_oob({index}, {a}, z{a})")
             emit(depth, f"m{a}[{index}] = {value}")
         elif o == _CALL_USER or o == _CALL_BUILTIN:
-            _, d, callee, argspec, s = op
+            _, d, callee, argspec = op
             args = self.operands(argspec, depth)
             if o == _CALL_USER:
                 target = self.ref(self.cmod.functions[callee])
@@ -360,7 +362,7 @@ class _Writer:
                 emit(depth, f"rv = {self.ref(callee)}([{args}])")
             if d >= 0:
                 emit(depth, f"s{d} = rv")
-                self.define(d, "True", s, depth)
+                self.define(d, "True", depth)
         elif o == _PRINT:
             args = self.operands(op[1], depth)
             emit(depth, f"out.append(({args},))" if args else "out.append(())")
@@ -383,20 +385,14 @@ class _Writer:
         self.emit(depth, f"if s{k} is None:")
         self.emit(depth + 1, f"raise _undef({k})")
 
-    def define(self, d: int, taint: str, site: int, depth: int) -> None:
-        """Taint and site statistics for a value just written to slot ``d``."""
+    def define(self, d: int, taint: str, depth: int) -> None:
+        """Taint bit and taint count for a value just written to slot ``d``."""
         if not self.sites:
             return
         emit = self.emit
         emit(depth, f"t{d} = {taint}")
-        if site < 0:
-            return
-        emit(depth, f"se[{site}] += 1")
         if taint == "True":
-            emit(depth, f"stt[{site}] += 1")
+            emit(depth, "nt += 1")
         elif taint != "False":
             emit(depth, f"if t{d}:")
-            emit(depth + 1, f"stt[{site}] += 1")
-        emit(depth, f"o = so[{site}]")
-        emit(depth, f"if len(o) < 2 and s{d} not in o:")
-        emit(depth + 1, f"o.append(s{d})")
+            emit(depth + 1, "nt += 1")

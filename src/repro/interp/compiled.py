@@ -33,10 +33,9 @@ form and replays runs over that form instead:
   Ball–Larus action are precomputed: the hot loop does
   ``register += increment`` or one dict bump with a precomputed final
   offset, never a ``profiler.edge(u, v)`` call.
-* **Batched site statistics** — dynamic per-site statistics are recorded
-  through preallocated per-site arrays (execution counts, taint counts, and
-  the capped observed-value lists) indexed by a compile-time site id, and
-  materialized into :class:`SiteStats` objects only when the run finishes.
+* **Batched taint counts** — under ``track_sites``, each activation counts
+  its tainted value-producing executions in a local and adds the total to
+  its routine's entry of the run's count when it returns or tiers up.
 * **Two tiers** — the micro-op loop below runs every activation first.  An
   activation that has executed more than :data:`TIER_UP_FACTOR` times its
   function's static instruction count switches, at its next recording
@@ -53,8 +52,9 @@ Differential guarantees
 For every run that completes, the compiled engine produces a
 :class:`RunResult` equal to the reference engine's: output, return value,
 instruction count, cycle cost, block counts, path profiles, trace profiles,
-site statistics, and final memory (``tests/test_compiled_engine.py`` proves
-this on the running example and on every workload).  Trap behaviour matches
+per-routine taint counts, and final memory
+(``tests/test_compiled_engine.py`` proves this on the running example and
+on every workload).  Trap behaviour matches
 on the same error classes and messages, in both tiers
 (``tests/test_generated_tier.py`` forces every activation into generated
 code and repeats the comparisons).  The only deliberate divergences are
@@ -94,7 +94,7 @@ from ..obs import get_metrics
 from ..profiles.ball_larus import BallLarusNumbering
 from ..profiles.path_profile import PathProfile
 from .cost import CostModel
-from .interpreter import ExecutionLimit, RunResult, Site, SiteStats, Trap
+from .interpreter import ExecutionLimit, RunResult, Trap
 from .profiler import TraceProfiler
 
 # -- micro-op opcodes --------------------------------------------------------
@@ -172,12 +172,12 @@ _STRICT_UNOPS = {"lnot": lambda a: 0 if a - 0 else 1}
 #: Measured over 20 perfbench programs per workload (seed 1, 2-core Linux
 #: host, CPython 3.11), with every function compiled at entry:
 #:
-#: * no site statistics (train and Table-2 runs): compile 28–57 µs per
+#: * no taint count (train and Table-2 runs): compile 28–57 µs per
 #:   static instruction, loop 0.22–0.66 µs and generated code 0.05–0.47 µs
 #:   per executed instruction; break-even ~145 on profile-heavy, ~100 on
 #:   organic-cold;
-#: * site statistics (ref runs): compile 73–150 µs, loop 0.27–0.64 µs,
-#:   generated code 0.13–0.63 µs; break-even 210–230.
+#: * taint count (ref runs): compile 31–47 µs, loop 0.18–0.26 µs,
+#:   generated code 0.06–0.15 µs; break-even 137–235.
 #:
 #: One factor serves both modes: 250, just above the largest break-even.
 #: Overshooting only delays the switch of long runs: a profile-heavy train
@@ -231,11 +231,9 @@ def _compile_function(
     fn: Function,
     module: Module,
     cm: CostModel,
-    track_sites: bool,
     recording: frozenset[Edge],
     numbering: BallLarusNumbering,
     array_index: Mapping[str, int],
-    site_index: dict[Site, int],
 ) -> _CompiledFunction:
     cf = _CompiledFunction(fn.name)
     labels = tuple(fn.blocks)
@@ -270,14 +268,9 @@ def _compile_function(
     for label, block in fn.blocks.items():
         bops: list[tuple] = []
         bcost = 0
-        for idx, instr in enumerate(block.instrs):
+        for instr in block.instrs:
             bcost += cm.instr_cost(instr)
-            site = -1
-            if track_sites and instr.dest is not None:
-                site = site_index.setdefault(
-                    (fn.name, label, idx), len(site_index)
-                )
-            bops.append(_compile_instr(instr, module, slot, array_index, site))
+            bops.append(_compile_instr(instr, module, slot, array_index))
 
         term = block.terminator
         if term is None:  # pragma: no cover - validated IR has a terminator
@@ -334,39 +327,38 @@ def _compile_instr(
     module: Module,
     slot: Mapping[str, int],
     array_index: Mapping[str, int],
-    site: int,
 ) -> tuple:
     if isinstance(instr, Assign):
         is_var, v = _operand(instr.src, slot)
         d = slot[instr.dest]
-        return (_MOV_V, d, v, site) if is_var else (_MOV_C, d, v, site)
+        return (_MOV_V, d, v) if is_var else (_MOV_C, d, v)
     if isinstance(instr, BinOp):
         d = slot[instr.dest]
         f = _STRICT_BINOPS.get(instr.op) or BINOPS[instr.op]
         lv, l = _operand(instr.lhs, slot)
         rv, r = _operand(instr.rhs, slot)
         if lv and rv:
-            return (_BIN_VV, d, f, l, r, site)
+            return (_BIN_VV, d, f, l, r)
         if lv:
-            return (_BIN_VC, d, f, l, r, site)
+            return (_BIN_VC, d, f, l, r)
         if rv:
-            return (_BIN_CV, d, f, l, r, site)
+            return (_BIN_CV, d, f, l, r)
         # Both constant: the result is determined at compile time.
-        return (_MOV_C, d, eval_binop(instr.op, l, r), site)
+        return (_MOV_C, d, eval_binop(instr.op, l, r))
     if isinstance(instr, UnOp):
         d = slot[instr.dest]
         is_var, v = _operand(instr.src, slot)
         if is_var:
             f = _STRICT_UNOPS.get(instr.op) or UNOPS[instr.op]
-            return (_UN_V, d, f, v, site)
-        return (_MOV_C, d, eval_unop(instr.op, v), site)
+            return (_UN_V, d, f, v)
+        return (_MOV_C, d, eval_unop(instr.op, v))
     if isinstance(instr, Load):
         aidx = array_index.get(instr.array)
         if aidx is None:
             return (_TRAP, f"load from undeclared array {instr.array!r}")
         d = slot[instr.dest]
         is_var, v = _operand(instr.index, slot)
-        return (_LOAD_V, d, aidx, v, site) if is_var else (_LOAD_C, d, aidx, v, site)
+        return (_LOAD_V, d, aidx, v) if is_var else (_LOAD_C, d, aidx, v)
     if isinstance(instr, Store):
         aidx = array_index.get(instr.array)
         if aidx is None:
@@ -391,7 +383,7 @@ def _compile_instr(
                     f"{instr.func} expects {len(target.params)} args, "
                     f"got {len(argspec)}",
                 )
-            return (_CALL_USER, d, instr.func, argspec, site)
+            return (_CALL_USER, d, instr.func, argspec)
         builtin = _BUILTINS.get(instr.func)
         if builtin is not None:
             arity, impl = builtin
@@ -400,7 +392,7 @@ def _compile_instr(
                     _TRAP,
                     f"builtin {instr.func} expects {arity} args, got {len(argspec)}",
                 )
-            return (_CALL_BUILTIN, d, impl, argspec, site)
+            return (_CALL_BUILTIN, d, impl, argspec)
         return (_TRAP, f"unknown function {instr.func!r}")
     if isinstance(instr, Print):
         return (_PRINT, tuple(_operand(a, slot) for a in instr.args))
@@ -431,22 +423,17 @@ class CompiledModule:
         self.numberings = numberings
         self.array_names: tuple[str, ...] = tuple(module.arrays)
         array_index = {name: i for i, name in enumerate(self.array_names)}
-        site_index: dict[Site, int] = {}
         self.functions: dict[str, _CompiledFunction] = {
             name: _compile_function(
                 fn,
                 module,
                 cost_model,
-                track_sites,
                 recordings[name],
                 numberings[name],
                 array_index,
-                site_index,
             )
             for name, fn in module.functions.items()
         }
-        #: Site ids in allocation (program) order; index = compile-time id.
-        self.site_keys: tuple[Site, ...] = tuple(site_index)
 
         # Lowering-volume metrics (once per CompiledModule, so the run
         # hot loop below stays untouched by observability).
@@ -463,7 +450,6 @@ class CompiledModule:
                     for block in cf.ops
                 )
             )
-            metrics.counter("interp_sites_tracked").inc(len(self.site_keys))
 
     def tier_up(self, cf: _CompiledFunction, profile_mode: Optional[str]):
         """The generated tier of ``cf`` for ``profile_mode``, compiled on
@@ -544,11 +530,8 @@ class _CompiledState:
         }
         #: Functions that had at least one activation, in first-call order.
         self.activated: dict[str, None] = {}
-        # Batched site statistics: preallocated per-site arrays.
-        n_sites = len(cmod.site_keys)
-        self.site_exec = [0] * n_sites
-        self.site_taint = [0] * n_sites
-        self.site_obs: list[list[int]] = [[] for _ in range(n_sites)]
+        #: Tainted value-producing executions per routine (``track_sites``).
+        self.tainted: defaultdict[str, int] = defaultdict(int)
         #: Ball–Larus (start block index, path id) -> count, per routine.
         self.bl_counts: dict[str, defaultdict[tuple, int]] = {}
         self.trace_profilers: dict[str, TraceProfiler] = {}
@@ -605,9 +588,8 @@ class _CompiledState:
         # Local aliases for the hot loop.
         mems = self.mems
         output = self.output
-        se = self.site_exec
-        stt = self.site_taint
-        sobs = self.site_obs
+        track = self.cmod.track_sites
+        nt = 0  # this activation's tainted executions, added on exit
         bcounts = self.block_counts[cf.name]
         blocks_ops = cf.ops
         blocks_n = cf.n_instr
@@ -632,59 +614,34 @@ class _CompiledState:
                 for op in blocks_ops[idx]:
                     o = op[0]
                     if o == _BIN_VV:
-                        _, d, f, a, b, s = op
-                        v = f(frame[a], frame[b])
-                        t = tnt[a] or tnt[b]
-                        frame[d] = v
-                        tnt[d] = t
-                        if s >= 0:
-                            se[s] += 1
-                            if t:
-                                stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        _, d, f, a, b = op
+                        frame[d] = f(frame[a], frame[b])
+                        t = tnt[d] = tnt[a] or tnt[b]
+                        if track and t:
+                            nt += 1
                     elif o == _BIN_VC:
-                        _, d, f, a, c, s = op
-                        v = f(frame[a], c)
-                        t = tnt[a]
-                        frame[d] = v
-                        tnt[d] = t
-                        if s >= 0:
-                            se[s] += 1
-                            if t:
-                                stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        _, d, f, a, c = op
+                        frame[d] = f(frame[a], c)
+                        t = tnt[d] = tnt[a]
+                        if track and t:
+                            nt += 1
                     elif o == _MOV_C:
-                        _, d, v, s = op
+                        _, d, v = op
                         frame[d] = v
                         tnt[d] = False
-                        if s >= 0:
-                            se[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
                     elif o == _MOV_V:
-                        _, d, a, s = op
+                        _, d, a = op
                         v = frame[a]
                         if v is None:
                             raise Trap(
                                 f"use of undefined variable {slot_names[a]!r}"
                             )
-                        t = tnt[a]
                         frame[d] = v
-                        tnt[d] = t
-                        if s >= 0:
-                            se[s] += 1
-                            if t:
-                                stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        t = tnt[d] = tnt[a]
+                        if track and t:
+                            nt += 1
                     elif o == _LOAD_V or o == _LOAD_C:
-                        _, d, aidx, i, s = op
+                        _, d, aidx, i = op
                         if o == _LOAD_V:
                             i = frame[i]
                         mem = mems[aidx]
@@ -693,41 +650,22 @@ class _CompiledState:
                                 f"load index {i} out of range for "
                                 f"{array_names[aidx]!r}[{len(mem)}]"
                             )
-                        v = mem[i]
-                        frame[d] = v
+                        frame[d] = mem[i]
                         tnt[d] = True
-                        if s >= 0:
-                            se[s] += 1
-                            stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        if track:
+                            nt += 1
                     elif o == _BIN_CV:
-                        _, d, f, c, b, s = op
-                        v = f(c, frame[b])
-                        t = tnt[b]
-                        frame[d] = v
-                        tnt[d] = t
-                        if s >= 0:
-                            se[s] += 1
-                            if t:
-                                stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        _, d, f, c, b = op
+                        frame[d] = f(c, frame[b])
+                        t = tnt[d] = tnt[b]
+                        if track and t:
+                            nt += 1
                     elif o == _UN_V:
-                        _, d, f, a, s = op
-                        v = f(frame[a])
-                        t = tnt[a]
-                        frame[d] = v
-                        tnt[d] = t
-                        if s >= 0:
-                            se[s] += 1
-                            if t:
-                                stt[s] += 1
-                            ob = sobs[s]
-                            if len(ob) < 2 and v not in ob:
-                                ob.append(v)
+                        _, d, f, a = op
+                        frame[d] = f(frame[a])
+                        t = tnt[d] = tnt[a]
+                        if track and t:
+                            nt += 1
                     elif o <= _STORE_CC:  # one of the four store variants
                         _, aidx, i, v = op
                         if o == _STORE_VV or o == _STORE_VC:
@@ -750,7 +688,7 @@ class _CompiledState:
                             )
                         mem[i] = v
                     elif o == _CALL_USER or o == _CALL_BUILTIN:
-                        _, d, callee, argspec, s = op
+                        _, d, callee, argspec = op
                         vals = []
                         for is_var, x in argspec:
                             if is_var:
@@ -774,12 +712,8 @@ class _CompiledState:
                         if d >= 0:
                             frame[d] = ret
                             tnt[d] = True
-                            if s >= 0:
-                                se[s] += 1
-                                stt[s] += 1
-                                ob = sobs[s]
-                                if len(ob) < 2 and ret not in ob:
-                                    ob.append(ret)
+                            if track:
+                                nt += 1
                     elif o == _PRINT:
                         vals = []
                         for is_var, x in op[1]:
@@ -829,6 +763,8 @@ class _CompiledState:
                 if tp is not None:
                     tp.edge(labels[idx], EXIT)
                     tp.leave()
+                if nt:
+                    self.tainted[cf.name] += nt
                 self.depth -= 1
                 return ret_value
             else:  # pragma: no cover - _T_TRAP, unvalidated IR only
@@ -847,6 +783,8 @@ class _CompiledState:
                 # only the frame, the taint bits and the target block carry
                 # over into the generated tier.
                 if self.instr_count - base > budget:
+                    if nt:
+                        self.tainted[cf.name] += nt
                     gen = self.cmod.tier_up(cf, mode)
                     return gen(self, frame, tnt, nidx)
             elif do_bl:
@@ -876,15 +814,6 @@ class _CompiledState:
             for i, label in enumerate(cf.labels):
                 if counts[i]:
                     block_counts[(name, label)] = counts[i]
-        site_stats: dict[Site, SiteStats] = {}
-        se = self.site_exec
-        for i, key in enumerate(cmod.site_keys):
-            if se[i]:
-                site_stats[key] = SiteStats(
-                    executions=se[i],
-                    tainted_executions=self.site_taint[i],
-                    observed=self.site_obs[i],
-                )
         return RunResult(
             return_value=ret,
             output=self.output,
@@ -893,7 +822,7 @@ class _CompiledState:
             block_counts=block_counts,
             profiles=profiles,
             trace_profiles=trace_profiles,
-            site_stats=site_stats,
+            tainted=dict(self.tainted),
             memory=self.memory,
         )
 

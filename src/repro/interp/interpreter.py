@@ -2,9 +2,9 @@
 
 The interpreter plays the role of the paper's instrumented native runs: it
 executes a module, charges abstract cycle costs (:mod:`repro.interp.cost`),
-collects Ball–Larus path profiles per routine, and gathers the per-site
-dynamic statistics used by the constant-classification experiment
-(Figures 10/13).
+collects Ball–Larus path profiles per routine, and counts each routine's
+tainted value-producing executions for the constant-classification
+experiment (Figures 10/13).
 
 Dynamic taint
 -------------
@@ -13,14 +13,15 @@ analysis could know this value": function parameters, memory loads, and call
 results are tainted; constants are clean; operators propagate taint.  The
 paper's *Unknowable* category — instructions that "will never be found
 constant" because the analyses do not track pointers, memory, or calls — is
-estimated as the dynamic executions whose result is tainted.
+estimated as the dynamic executions whose result is tainted, counted per
+routine under ``track_sites=True``.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..ir.cfg import Cfg, ENTRY, EXIT
@@ -55,32 +56,6 @@ class Trap(Exception):
     """Raised on a runtime error (bad array index, missing function, ...)."""
 
 
-#: A program point: (function name, block label, instruction index).
-Site = tuple[str, str, int]
-
-
-@dataclass(slots=True)
-class SiteStats:
-    """Dynamic statistics for one value-producing instruction site."""
-
-    executions: int = 0
-    tainted_executions: int = 0
-    #: Up to two distinct observed values (enough to decide invariance).
-    observed: list[int] = field(default_factory=list)
-
-    def record(self, value: int, tainted: bool) -> None:
-        self.executions += 1
-        if tainted:
-            self.tainted_executions += 1
-        if len(self.observed) < 2 and value not in self.observed:
-            self.observed.append(value)
-
-    @property
-    def invariant(self) -> bool:
-        """True if every execution produced the same value."""
-        return len(self.observed) <= 1
-
-
 @dataclass
 class RunResult:
     """Everything observed during one program run."""
@@ -98,8 +73,9 @@ class RunResult:
     profiles: dict[str, PathProfile]
     #: Per-routine profile from the trace-splitting oracle (mode="both").
     trace_profiles: dict[str, PathProfile]
-    #: Dynamic statistics per value-producing site.
-    site_stats: dict[Site, SiteStats]
+    #: Tainted value-producing executions per routine (``track_sites``
+    #: runs only; routines with none are absent).
+    tainted: dict[str, int]
     #: Final contents of the global arrays.
     memory: dict[str, list[int]]
 
@@ -263,7 +239,7 @@ class Interpreter:
             block_counts=state.block_counts,
             profiles=profiles,
             trace_profiles=trace_profiles,
-            site_stats=state.site_stats,
+            tainted=state.tainted,
             memory=state.memory,
         )
 
@@ -291,7 +267,7 @@ class _RunState:
         self.instr_count = 0
         self.cost = 0
         self.block_counts: dict[tuple[str, str], int] = {}
-        self.site_stats: dict[Site, SiteStats] = {}
+        self.tainted: dict[str, int] = {}
         self.bl_profilers: dict[str, BallLarusProfiler] = {}
         self.trace_profilers: dict[str, TraceProfiler] = {}
         self.depth = 0
@@ -350,9 +326,9 @@ class _RunState:
             self.block_counts[(fn.name, label)] = (
                 self.block_counts.get((fn.name, label), 0) + 1
             )
-            for idx, instr in enumerate(block.instrs):
+            for instr in block.instrs:
                 self._step()
-                self._execute(fn.name, label, idx, instr, env, taint, cm)
+                self._execute(fn.name, instr, env, taint, cm)
             term = block.terminator
             self._step()
             if isinstance(term, Jump):
@@ -396,8 +372,6 @@ class _RunState:
     def _execute(
         self,
         fn_name: str,
-        label: str,
-        idx: int,
         instr,
         env: dict[str, int],
         taint: dict[str, bool],
@@ -440,12 +414,8 @@ class _RunState:
             value, tainted = result
             env[instr.dest] = value
             taint[instr.dest] = tainted
-            if self.interp.track_sites:
-                site = (fn_name, label, idx)
-                stats = self.site_stats.get(site)
-                if stats is None:
-                    stats = self.site_stats[site] = SiteStats()
-                stats.record(value, tainted)
+            if tainted and self.interp.track_sites:
+                self.tainted[fn_name] = self.tainted.get(fn_name, 0) + 1
 
     def _load(self, array: str, index: int) -> int:
         mem = self.memory.get(array)

@@ -10,20 +10,21 @@ edge.
 With ``analysis`` and ``fold=True``, constant folding happens during
 materialization: pure instructions with constant results become constant
 assignments, and branches with constant conditions become jumps (the other
-leg is dropped; unreachable blocks are cleaned afterwards).
+leg is dropped; unreachable blocks are cleaned afterwards).  Both folders
+read the values the analysis result evaluates once per vertex
+(``site_values`` and ``output_env``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..dataflow.lattice import UNREACHABLE
-from ..dataflow.transfer import transfer_instr
-from ..dataflow.wegman_zadek import CondConstResult
+from ..dataflow.lattice import TOP, UNREACHABLE, FlatValue
 from ..dataflow.transfer import eval_operand
+from ..dataflow.wegman_zadek import CondConstResult
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Assign, Branch, Jump, Ret, copy_instr
+from ..ir.instructions import Assign, Branch, Instr, Jump, Ret, copy_instr
 from ..ir.operands import Const
 from ..core.hot_path_graph import HpgVertex, TracedGraph
 
@@ -42,6 +43,29 @@ def vertex_labels(graph: TracedGraph) -> dict[HpgVertex, str]:
             for vertex in vertices:
                 labels[vertex] = f"{orig}.q{vertex[1]}"
     return labels
+
+
+def _folded(instr: Instr, value: Optional[FlatValue]) -> Instr:
+    """A copy of ``instr``, or ``dest := value`` if ``instr`` is pure, its
+    abstract result ``value`` is a constant, and it is not one already."""
+    if (
+        instr.is_pure
+        and isinstance(value, int)
+        and not (isinstance(instr, Assign) and isinstance(instr.src, Const))
+    ):
+        return Assign(instr.dest, Const(value))
+    return copy_instr(instr)
+
+
+def _taken(analysis: CondConstResult, vertex, term) -> Optional[str]:
+    """The only leg of branch ``term`` that can execute at ``vertex``, if the
+    analysis proves its condition constant there; None otherwise."""
+    if isinstance(term, Branch):
+        env = analysis.output_env(vertex)
+        cond = TOP if env is UNREACHABLE else eval_operand(term.cond, env)
+        if isinstance(cond, int):
+            return term.if_true if cond != 0 else term.if_false
+    return None
 
 
 def materialize(
@@ -78,25 +102,9 @@ def materialize(
     for vertex in ordered:
         block = graph.function.blocks[vertex[0]]
         new_block = BasicBlock(labels[vertex])
-
-        env = analysis.input_env(vertex) if analysis is not None else None
-        for instr in block.instrs:
-            folded = instr
-            if env is not None and env is not UNREACHABLE:
-                env, value = transfer_instr(instr, env)
-                if (
-                    fold
-                    and instr.is_pure
-                    and isinstance(value, int)
-                    and not (
-                        isinstance(instr, Assign)
-                        and isinstance(instr.src, Const)
-                    )
-                ):
-                    folded = Assign(instr.dest, Const(value))
-            if folded is instr:
-                folded = copy_instr(instr)
-            new_block.append(folded)
+        values = analysis.site_values(vertex) if fold else {}
+        for idx, instr in enumerate(block.instrs):
+            new_block.append(_folded(instr, values.get(idx)))
 
         term = block.terminator
         targets = {}
@@ -108,17 +116,13 @@ def materialize(
         elif isinstance(term, Jump):
             new_block.terminator = Jump(targets[term.target])
         elif isinstance(term, Branch):
-            new_term = None
-            if fold and env is not None and env is not UNREACHABLE:
-                cond = eval_operand(term.cond, env)
-                if isinstance(cond, int):
-                    taken = term.if_true if cond != 0 else term.if_false
-                    new_term = Jump(targets[taken])
-            if new_term is None:
-                new_term = Branch(
+            taken = _taken(analysis, vertex, term) if fold else None
+            if taken is not None:
+                new_block.terminator = Jump(targets[taken])
+            else:
+                new_block.terminator = Branch(
                     term.cond, targets[term.if_true], targets[term.if_false]
                 )
-            new_block.terminator = new_term
         else:  # pragma: no cover - validated functions always terminate
             raise ValueError(f"block {vertex[0]} has no terminator")
         fn.add_block(new_block)
@@ -152,34 +156,14 @@ def fold_function(fn: Function, analysis: CondConstResult, name: Optional[str] =
     out = Function(name if name is not None else fn.name, fn.params)
     for label, block in fn.blocks.items():
         new_block = BasicBlock(label)
-        env = analysis.input_env(label)
-        for instr in block.instrs:
-            folded = instr
-            if env is not UNREACHABLE:
-                env, value = transfer_instr(instr, env)
-                if (
-                    instr.is_pure
-                    and isinstance(value, int)
-                    and not (
-                        isinstance(instr, Assign)
-                        and isinstance(instr.src, Const)
-                    )
-                ):
-                    folded = Assign(instr.dest, Const(value))
-            if folded is instr:
-                folded = copy_instr(instr)
-            new_block.append(folded)
+        values = analysis.site_values(label)
+        for idx, instr in enumerate(block.instrs):
+            new_block.append(_folded(instr, values.get(idx)))
         term = block.terminator
-        if isinstance(term, Branch) and env is not UNREACHABLE:
-            cond = eval_operand(term.cond, env)
-            if isinstance(cond, int):
-                new_block.terminator = Jump(
-                    term.if_true if cond != 0 else term.if_false
-                )
-            else:
-                new_block.terminator = term.retargeted({})
-        else:
-            new_block.terminator = term.retargeted({})
+        taken = _taken(analysis, label, term)
+        new_block.terminator = (
+            Jump(taken) if taken is not None else term.retargeted({})
+        )
         out.add_block(new_block)
     out.entry = fn.entry
     return remove_unreachable(out)

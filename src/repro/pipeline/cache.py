@@ -41,9 +41,11 @@ from ..obs import get_metrics, get_tracer
 #: v3: engines left the qualified, lint and sweep-cell/summary keys.
 #: v4: train/ref-run and sweep keys take each data set's
 #: :func:`data_digest` instead of its canonicalized arrays.
+#: v5: ref runs keep one taint count per routine (``RunResult.tainted``)
+#: instead of per-site statistics.
 #: Keys cover content, not code: a change to an opt pass's output or to the
 #: interpreter's cost model changes cached Table-2 costs and needs a bump.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Artifact kinds the pipeline stores; each gets its own subdirectory and
 #: its own row in the hit/miss statistics.

@@ -16,8 +16,9 @@ by what kind of analysis can prove its result constant:
   (the paper found most qualified constants fall here).
 * **Unknowable** — the dynamic executions whose result is tainted by memory,
   calls, or parameters: no intraprocedural scalar analysis "will ever find
-  [them] constant".  Estimated from the interpreter's dynamic taint, our
-  stand-in for the paper's per-block estimate.
+  [them] constant".  Estimated from the interpreter's dynamic taint (the
+  routine's count of tainted executions), our stand-in for the paper's
+  per-block estimate.
 
 All categories are *dynamically weighted*: a site contributes its profiled
 execution frequency (on the graph where the fact holds).
@@ -26,12 +27,11 @@ execution frequency (on the graph where the fact holds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from ..core.qualified import QualifiedAnalysis
 from ..core.translate import reduce_profile, translate_profile
 from ..dataflow.local import local_constant_sites
-from ..interp.interpreter import Site, SiteStats
 from ..profiles.path_profile import PathProfile
 
 
@@ -79,14 +79,15 @@ class ConstantClassification:
 def classify_constants(
     qa: QualifiedAnalysis,
     eval_profile: PathProfile,
-    site_stats: Optional[Mapping[Site, SiteStats]] = None,
+    tainted: int = 0,
 ) -> ConstantClassification:
     """Classify one routine's dynamic instructions.
 
     ``eval_profile`` is a profile of the *original* CFG from the evaluation
     (ref) run; it is translated onto the reduced graph internally.
-    ``site_stats`` (from an evaluation run of the interpreter) supplies the
-    taint counts for the Unknowable estimate; pass None to report 0.
+    ``tainted`` is the routine's count of tainted executions in that run
+    (:attr:`~repro.interp.interpreter.RunResult.tainted`), the Unknowable
+    estimate; it defaults to 0.
     """
     fn = qa.function
     freq = eval_profile.block_frequencies()
@@ -165,16 +166,10 @@ def classify_constants(
         variable = 0
         mixed = 0
 
-    unknowable = 0
-    if site_stats is not None:
-        for (site_fn, _, _), stats in site_stats.items():
-            if site_fn == fn.name:
-                unknowable += stats.tainted_executions
-
     return ConstantClassification(
         total_dynamic=total_dynamic,
         local=local_dyn,
-        unknowable=unknowable,
+        unknowable=tainted,
         iterative_nonlocal=iterative_nonlocal,
         qualified_nonlocal=qualified_nonlocal,
         baseline_constants=baseline_constants,

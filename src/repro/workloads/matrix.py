@@ -224,7 +224,7 @@ _RESULT_FIELDS = (
     "block_counts",
     "profiles",
     "trace_profiles",
-    "site_stats",
+    "tainted",
     "memory",
 )
 

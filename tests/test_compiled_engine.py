@@ -1,8 +1,8 @@
 """Differential tests: the block-compiled engine vs. the tree-walking oracle.
 
 Every assertion here compares complete :class:`RunResult` values — output,
-cost, instruction counts, block counts, path profiles, trace profiles, site
-stats, and final memory — so the fast path can never silently diverge from
+cost, instruction counts, block counts, path profiles, trace profiles, taint
+counts, and final memory — so the fast path can never silently diverge from
 the reference semantics.  The running-example case runs in the fast tier on
 every test invocation; the full-workload ref runs are ``slow``-marked.
 """
@@ -22,7 +22,7 @@ RESULT_FIELDS = (
     "block_counts",
     "profiles",
     "trace_profiles",
-    "site_stats",
+    "tainted",
     "memory",
 )
 

@@ -341,9 +341,9 @@ class TestSourceSafety:
 #: Identifiers the writer itself uses, besides its numbered locals.
 FIXED_NAMES = set(keyword.kwlist) | {
     "_run", "st", "F", "T", "b", "n", "ms", "c", "bc", "counts", "bs", "r",
-    "rv", "call", "out", "se", "stt", "so", "o", "mems", "name", "len",
+    "rv", "call", "out", "nt", "mems", "name", "len",
     "append", "block_counts", "instr_count", "max_steps", "path_counts",
-    "cost", "depth", "site_exec", "site_taint", "site_obs",
+    "cost", "depth", "tainted",
     "output", "_Trap", "_limit", "_undef", "_undefined_trap",
     "_undefined_in_block", "_load_oob", "_store_oob", "TypeError",
 }

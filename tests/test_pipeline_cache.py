@@ -353,8 +353,12 @@ def test_content_key_is_stable_across_processes():
         == "9c22d0d96aec925c27b9f944da7a3eb2d9629b7faacf04091a3fb4ecccb3e28f"
     )
     assert (
-        content_key(*parts)
+        content_key(*parts, schema=4)
         == "3f40276442ceb8c02dcf1cc6baa4b47ed1e4ec9260724a5b71f9f7cbaa464f74"
+    )
+    assert (
+        content_key(*parts)
+        == "6079e72632d2b9e3d5e18082abe564ae1671ee742749d5c9d678b826a1aded1d"
     )
 
 

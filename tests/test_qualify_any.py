@@ -99,7 +99,7 @@ class TestVennSummary:
         c = classify_constants(
             example_qualified,
             example_run.profiles["work"],
-            example_run.site_stats,
+            example_run.tainted.get("work", 0),
         )
         v = venn_summary(c)
         assert v.total == c.total_dynamic

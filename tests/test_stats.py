@@ -15,7 +15,7 @@ class TestRunningExampleClassification:
         return classify_constants(
             example_qualified,
             example_run.profiles["work"],
-            example_run.site_stats,
+            example_run.tainted.get("work", 0),
         )
 
     def test_totals_positive(self, classification):
@@ -76,7 +76,7 @@ class TestRunningExampleClassification:
         assert c.qualified_nonlocal == c.iterative_nonlocal
         assert c.qualified_constants == c.baseline_constants
         assert c.variable == 0 and c.mixed == 0 and c.identical_extra == 0
-        assert c.unknowable == 0  # no site stats supplied
+        assert c.unknowable == 0  # no taint count supplied
 
 
 class TestDistribution:

@@ -14,10 +14,11 @@ from repro.ir import (
     BinOp,
     Const,
     IRBuilder,
-    Module,
     UnOp,
     Var,
 )
+
+from test_transfer_consistency import witness_values, witnessed
 
 
 def analyze_fn(fn):
@@ -252,17 +253,18 @@ class TestSoundness:
         fn = b.finish()
         result = analyze_fn(fn)
 
-        module = Module()
-        module.add_function(fn)
-        interp = Interpreter(module, profile_mode=None, track_sites=True)
-        for arg in (0, 1):
-            run = interp.run([arg])
-            for (name, label, idx), stats in run.site_stats.items():
-                consts = result.constant_sites(label)
-                if idx in consts:
-                    assert stats.observed == [consts[idx]], (
-                        label,
-                        idx,
-                        consts[idx],
-                        stats.observed,
-                    )
+        module, sites = witnessed(fn)
+        for engine in ("reference", "compiled"):
+            interp = Interpreter(module, profile_mode=None, engine=engine)
+            for arg in (0, 1):
+                run = interp.run([arg])
+                for (label, idx), values in witness_values(run, sites).items():
+                    consts = result.constant_sites(label)
+                    if idx in consts:
+                        assert values == [consts[idx]], (
+                            engine,
+                            label,
+                            idx,
+                            consts[idx],
+                            values,
+                        )
